@@ -34,6 +34,22 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
 
+def _at_least(low, parse):
+    """Argument type: ``parse`` the text and reject values below ``low``."""
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    return check
+
+
+_count = _at_least(0, int)
+
+
 def _half_units_decimal(value2: int) -> str:
     return str(value2 // 2) if value2 % 2 == 0 else f"{value2 // 2}.5"
 
@@ -72,15 +88,15 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="one run of a search algorithm")
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--target-ratio", type=_fraction,
+    p.add_argument("--budget", type=_count)
+    p.add_argument("--target-ratio", type=_at_least(1, _fraction),
                    help="stop once a cover of cost <= ratio * OPT is found")
     p.add_argument("--target-cover", action="store_true",
                    help="stop once any cover is found")
-    p.add_argument("--epsilon", type=_fraction,
+    p.add_argument("--epsilon", type=_at_least(0, _fraction),
                    help="record/stop at the (1+epsilon) ratio target")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--opt", type=int, help="known optimum (else computed when needed)")
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--opt", type=_count, help="known optimum (else computed when needed)")
     p.add_argument("--check-bounds", action="store_true")
     p.add_argument("--series", action="store_true", help="include the per-iteration series")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -91,11 +107,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--instance", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--target-ratio", type=_fraction)
-    p.add_argument("--epsilon", type=_fraction)
-    p.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed + i")
-    p.add_argument("--opt", type=int)
+    p.add_argument("--budget", type=_count)
+    p.add_argument("--target-ratio", type=_at_least(1, _fraction))
+    p.add_argument("--epsilon", type=_at_least(0, _fraction))
+    p.add_argument("--seed", type=_count, default=0, help="base seed; trial i uses seed + i")
+    p.add_argument("--opt", type=_count)
     p.add_argument("--check-bounds", action="store_true")
     p.add_argument("--until-zero-string", action="store_true",
                    help="keep each run going until the all-zeros genotype was seen")
@@ -198,8 +214,9 @@ def cmd_run(args) -> int:
     if args.budget is None and target is None and not args.target_cover:
         raise expmod.ConfigError("run needs --budget and/or a target")
     opt = args.opt
-    if opt is None and target is not None:
-        cfg = expmod.ExperimentConfig(algorithm=args.algo, trials=1, target_ratio=target)
+    if opt is not None or target is not None:
+        cfg = expmod.ExperimentConfig(algorithm=args.algo, trials=1, target_ratio=target,
+                                      opt=opt)
         opt = expmod.resolve_opt(g, cfg)
     termination = Termination(budget=args.budget, any_cover=args.target_cover,
                               target_ratio=target, opt=opt)

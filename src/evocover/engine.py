@@ -18,7 +18,6 @@ comparator decisions in integers. The linear forms "Cost + 2 LP" and
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +26,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .graph import WeightedGraph, as_genotype
-from .lp import solve_cover_lp
+# solve_cover_lp is unused here but stays importable: the benchmark's tracer
+# (bench/tracing.py) wraps engine.solve_cover_lp by name.
+from .lp import DoubleCover, solve_cover_lp  # noqa: F401
 
 ALGORITHMS = ("gsemo", "gsemo-alt", "demo", "dpbea")
 
@@ -52,23 +53,47 @@ def dominates_strong(a: Fitness, b: Fitness) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and a != b
 
 
-def _min_power_reaching(n: int, num: int, den: int) -> int:
-    """Smallest k >= 0 with ((2n+1)/(2n))^k >= 1 + num/den, exactly.
+class _PowerFloors:
+    """floor(r^k) and floor(2 r^k) for r = (2n+1)/(2n) and k = 0, 1, ...
 
-    Float logarithms give the initial guess; the answer is pinned by integer
-    comparisons of (2n+1)^k * den against (den + num) * (2n)^k.
+    Both lists are non-decreasing; they grow on demand from the exact powers
+    (2n+1)^k and (2n)^k.
+    """
+
+    __slots__ = ("_bn", "_bd", "_num", "_den", "floors")
+
+    def __init__(self, n: int):
+        self._bn, self._bd = 2 * n + 1, 2 * n
+        self._num = self._den = 1  # r^k = num / den for the last k tabulated
+        self.floors = {1: [1], 2: [2]}  # scale -> [floor(scale * r^k) for k]
+
+    def first_reaching(self, scale: int, target: int) -> int:
+        """Smallest k with floor(scale * r^k) >= target."""
+        table = self.floors[scale]
+        while table[-1] < target:
+            self._num *= self._bn
+            self._den *= self._bd
+            self.floors[1].append(self._num // self._den)
+            self.floors[2].append(2 * self._num // self._den)
+        return bisect_left(table, target)
+
+
+_POWER_FLOORS: dict[int, _PowerFloors] = {}  # per n; pure, so shared by all callers
+
+
+def _min_power_reaching(n: int, num: int, den: int) -> int:
+    """Smallest k >= 0 with ((2n+1)/(2n))^k >= 1 + num/den, exactly, for den 1 or 2.
+
+    r^k >= 1 + num/den holds iff den * r^k >= den + num, and as den + num is
+    an integer, iff floor(den * r^k) >= den + num: a lookup in the table of
+    floors for this n.
     """
     if num <= 0:
         return 0
-    bn, bd = 2 * n + 1, 2 * n
-    target = den + num
-    guess = math.log1p(num / den) / math.log1p(1.0 / (2 * n))
-    k = max(0, int(guess) - 2)
-    while bn ** k * den < target * bd ** k:
-        k += 1
-    while k > 0 and bn ** (k - 1) * den >= target * bd ** (k - 1):
-        k -= 1
-    return k
+    floors = _POWER_FLOORS.get(n)
+    if floors is None:
+        floors = _POWER_FLOORS[n] = _PowerFloors(n)
+    return floors.first_reaching(den, den + num)
 
 
 def box_index(fit: Fitness, n: int) -> BoxIndex:
@@ -171,6 +196,12 @@ class Evaluator:
     genotype (keyed by the raw bit bytes). The cache is pure and may be
     shared across sequential runs on the same graph; concurrent runs must
     use separate Evaluator instances.
+
+    LP values come from one ``DoubleCover`` network per graph, built at the
+    first solve. A child is solved from its parent's maximum flow when the
+    parent's residual state is stored, else from the last flow solved.
+    States are stored only for archive members (see ``retain``), so they
+    take memory in proportion to the archive, not to the cache.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -180,11 +211,16 @@ class Evaluator:
         self._eu = g._edge_u
         self._ev = g._edge_v
         self._cache: dict[bytes, Individual] = {}
+        self._cover: DoubleCover | None = None
+        self._solved: bytes | None = None  # key of the network's current flow
+        self._states: dict[bytes, tuple] = {}  # key -> DoubleCover state
 
     def __len__(self) -> int:
         return len(self._cache)
 
-    def evaluate(self, bits: np.ndarray) -> Individual:
+    def evaluate(self, bits: np.ndarray, parent: Individual | None = None) -> Individual:
+        """Objectives of ``bits``; ``parent`` names the genotype it was mutated
+        from, whose stored flow the LP solve then starts from."""
         key = bits.tobytes()
         ind = self._cache.get(key)
         if ind is not None:
@@ -198,14 +234,35 @@ class Evaluator:
             sel = bits.view(np.bool_)
             unc = ~(sel[self._eu] | sel[self._ev])
             if unc.any():
-                ue = self._eu[unc]
-                ve = self._ev[unc]
-                incident[ue] = True
-                incident[ve] = True
-                lp2 = solve_cover_lp(n, zip(ue.tolist(), ve.tolist()), self.graph.weights).value2
+                incident[self._eu[unc]] = True
+                incident[self._ev[unc]] = True
+                lp2 = self._solve(key, bits, parent)
         ind = Individual(bits, key, cost, lp2, int(bits.sum()), incident)
         self._cache[key] = ind
         return ind
+
+    def _solve(self, key: bytes, bits: np.ndarray, parent: Individual | None) -> int:
+        cover = self._cover
+        if cover is None:
+            cover = self._cover = DoubleCover(self.graph)
+        if parent is not None and parent.key != self._solved:
+            state = self._states.get(parent.key)
+            if state is not None:
+                cover.load(state)
+        self._solved = key
+        return cover.solve(bits)
+
+    def retain(self, ind: Individual, members: list[Individual]) -> None:
+        """Report that ``ind`` entered the archive, now ``members``.
+
+        Stores ``ind``'s flow if it is the last one solved, and drops the
+        states of genotypes no longer in the archive.
+        """
+        states = self._states
+        if ind.key == self._solved and ind.key not in states:
+            states[ind.key] = self._cover.state()
+        if len(states) > len(members):
+            self._states = {m.key: states[m.key] for m in members if m.key in states}
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +572,7 @@ def run(algorithm: str,
 
     init = ev.evaluate((rng.uniforms(n) < 0.5).view(np.uint8))
     archive.insert(init)
+    ev.retain(init, archive.members)
     if init.cost == 0:
         hit0 = 0
     if init.lp2 == 0:
@@ -548,10 +606,12 @@ def run(algorithm: str,
             pvec = std_pvec
         flips = rng.uniforms(n) < pvec
         if flips.any():
-            cand = ev.evaluate(parent.bits ^ flips.view(np.uint8))
+            cand = ev.evaluate(parent.bits ^ flips.view(np.uint8), parent)
         else:
             cand = parent
         accepted = archive.insert(cand)
+        if accepted:
+            ev.retain(cand, archive.members)
         size = len(archive.members)
         if size > max_arch:
             max_arch = size

@@ -20,6 +20,7 @@ from typing import Iterable
 from . import exact
 from .engine import ALGORITHMS, Evaluator, RunTrace, Termination, run
 from .graph import WeightedGraph
+from .lp import lp_value2
 
 CSV_COLUMNS = (
     "seed",
@@ -126,8 +127,15 @@ def _trial_batch(args) -> list[tuple[TrialRecord, int]]:
 
 
 def resolve_opt(g: WeightedGraph, cfg: ExperimentConfig) -> int | None:
-    """Supplied OPT wins; otherwise the exact oracle is consulted when feasible."""
+    """Supplied OPT wins; otherwise the exact oracle is consulted when feasible.
+
+    A supplied OPT below the LP lower bound ceil(LP(0^n)) is provably wrong
+    and rejected.
+    """
     if cfg.opt is not None:
+        bound = -(-lp_value2(g, [0] * g.n) // 2)
+        if cfg.opt < bound:
+            raise ConfigError(f"opt {cfg.opt} is below the LP lower bound {bound}")
         return cfg.opt
     if g.n > exact.BRANCH_BOUND_LIMIT:
         if cfg.target_ratio is not None:

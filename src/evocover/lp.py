@@ -68,6 +68,104 @@ def solve_cover_lp(num_vertices: int,
     return HalfIntegralLP(value2, assign2)
 
 
+class DoubleCover:
+    """The double-cover network of one whole graph, re-solved from its last flow.
+
+    Built once per graph: s -> v_L and v_R -> t at capacity w(v) for every
+    vertex, and the unbounded u_L -> v_R and v_L -> u_R for every edge. A
+    selected vertex has its terminal arcs and edge arcs at capacity 0, so the
+    max-flow value is 2 * LP of the residual graph (closing the edge arcs
+    only keeps the searches out of dead ends). Every s-t path has three arcs
+    (s -> u_L -> v_R -> t), so the flow on an edge arc is the flow of one
+    path, and a change of selection is a local edit of the current flow:
+
+    * selecting v cancels the flow on the edge arcs at v_L and v_R, returning
+      each unit to the far endpoint's terminal arc, and closes v's arcs;
+    * deselecting v reopens its terminal arcs at w(v) and its edge arcs to
+      unselected neighbours; the flow stays valid.
+
+    Dinic then augments from the edited flow (the flow reuse of dynamic graph
+    cuts). The max-flow value does not depend on the flow it starts from, so
+    the result is the cold solver's.
+    """
+
+    __slots__ = ("net", "bits", "value2", "_w", "_unbounded", "_src", "_snk", "_out", "_in")
+
+    def __init__(self, g: WeightedGraph):
+        n = g.n
+        net = MaxFlow(2 + 2 * n)
+        # nodes: 0 = source, 1 = sink, 2+i = left copy, 2+n+i = right copy
+        self._w = g.weights
+        self._src = [net.add_arc(0, 2 + i, w) for i, w in enumerate(g.weights)]
+        self._snk = [net.add_arc(2 + n + i, 1, w) for i, w in enumerate(g.weights)]
+        self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # v_L -> u_R, u
+        self._in: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # u_L -> v_R, u
+        unbounded = self._unbounded = g.total_weight + 1
+        for u, v in g.edges:
+            a = net.add_arc(2 + u, 2 + n + v, unbounded)
+            b = net.add_arc(2 + v, 2 + n + u, unbounded)
+            self._out[u].append((a, v))
+            self._in[v].append((a, u))
+            self._out[v].append((b, u))
+            self._in[u].append((b, v))
+        self.net = net
+        self.bits = np.zeros(n, dtype=np.uint8)  # selection of the current flow
+        self.value2 = 0  # value of the current flow
+
+    def _close(self, v: int) -> int:
+        """Cancel the paths through v and close its arcs; returns the flow removed."""
+        cap, src, snk = self.net._cap, self._src, self._snk
+        for e, u in self._out[v]:  # paths s -> v_L -> u_R -> t
+            f = cap[e ^ 1]
+            if f:
+                a = snk[u]
+                cap[a] += f
+                cap[a ^ 1] -= f
+            cap[e] = cap[e ^ 1] = 0
+        for e, u in self._in[v]:  # paths s -> u_L -> v_R -> t
+            f = cap[e ^ 1]
+            if f:
+                a = src[u]
+                cap[a] += f
+                cap[a ^ 1] -= f
+            cap[e] = cap[e ^ 1] = 0
+        a, b = src[v], snk[v]
+        removed = cap[a ^ 1] + cap[b ^ 1]
+        cap[a] = cap[a ^ 1] = cap[b] = cap[b ^ 1] = 0
+        return removed
+
+    def solve(self, bits: np.ndarray) -> int:
+        """2 * LP of the residual graph of ``bits``, augmenting from the current flow.
+
+        ``bits`` is kept as the current selection and must not be mutated.
+        """
+        cap, w, unbounded = self.net._cap, self._w, self._unbounded
+        value = self.value2
+        for v in np.flatnonzero(self.bits != bits).tolist():
+            if bits[v]:
+                value -= self._close(v)
+            else:
+                cap[self._src[v]] = cap[self._snk[v]] = w[v]
+                for e, u in self._out[v]:
+                    if not bits[u]:
+                        cap[e] = unbounded
+                for e, u in self._in[v]:
+                    if not bits[u]:
+                        cap[e] = unbounded
+        self.bits = bits
+        self.value2 = value + self.net.max_flow(0, 1)
+        return self.value2
+
+    def state(self) -> tuple[np.ndarray, int, list[int]]:
+        """The current selection and flow value, and a copy of the residual capacities."""
+        return self.bits, self.value2, list(self.net._cap)
+
+    def load(self, state: tuple[np.ndarray, int, list[int]]) -> None:
+        """Make a state returned by ``state`` current again."""
+        self.bits, self.value2, caps = state
+        self.net._cap[:] = caps
+
+
 def solve_lp(rg: ResidualGraph, weights: Sequence[int]) -> HalfIntegralLP:
     """Exact LP of a residual graph; ``weights`` are the original graph's.
 

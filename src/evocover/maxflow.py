@@ -44,7 +44,9 @@ class MaxFlow:
             level = [-1] * n
             level[s] = 0
             queue = deque([s])
-            while queue:
+            # Every node below t's level is labelled once t is, and no node
+            # at or above it lies on a shortest path, so the search stops there.
+            while queue and level[t] < 0:
                 u = queue.popleft()
                 lu = level[u] + 1
                 for e in head[u]:
@@ -71,18 +73,19 @@ class MaxFlow:
                     del arcs[i:]
                     del stack[i + 1:]
                     continue
-                advanced = False
                 hu = head[u]
-                while it[u] < len(hu):
-                    e = hu[it[u]]
-                    v = to[e]
-                    if cap[e] > 0 and level[v] == level[u] + 1:
-                        stack.append(v)
-                        arcs.append(e)
-                        advanced = True
+                i, k = it[u], len(hu)
+                lv = level[u] + 1
+                while i < k:
+                    e = hu[i]
+                    if cap[e] > 0 and level[to[e]] == lv:
                         break
-                    it[u] += 1
-                if not advanced:
+                    i += 1
+                it[u] = i
+                if i < k:
+                    stack.append(to[e])
+                    arcs.append(e)
+                else:
                     level[u] = -1
                     stack.pop()
                     if arcs:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evocover as ec
 from conftest import make_instances, tiny_box_coord
@@ -39,11 +44,22 @@ def test_box_index_examples():
 
 
 def test_box_index_against_fraction_oracle():
-    for n in (1, 2, 4, 7, 12, 33):
+    for n in (1, 2, 4, 7, 12, 33, 100, 300):
         for cost in (0, 1, 2, 5, 17, 100, 12345):
             assert ec.box_index(ec.Fitness(cost, 0), n).b1 == tiny_box_coord(Fraction(cost), n)
         for lp2 in (0, 1, 2, 3, 7, 16, 99, 1001):
             assert ec.box_index(ec.Fitness(0, lp2), n).b2 == tiny_box_coord(Fraction(lp2, 2), n)
+        # every cost up to n * w_max and every lp2 up to 2 * n * w_max at
+        # w_max = 16, against the same exact powers taken in one increasing pass
+        top = n * 16
+        base, power, k = 1 + Fraction(1, 2 * n), Fraction(1), 0
+        for lp2 in range(2 * top + 1):
+            while power < 1 + Fraction(lp2, 2):
+                power *= base
+                k += 1
+            assert ec.box_index(ec.Fitness(0, lp2), n).b2 == k
+            if lp2 % 2 == 0:
+                assert ec.box_index(ec.Fitness(lp2 // 2, 0), n).b1 == k
 
 
 def test_demo_archive_capacity_matches_oracle():
@@ -397,6 +413,152 @@ def test_run_fitness_honesty():
         assert ind.ones == int(ind.bits.sum())
         checked += 1
     assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# Warm-started LP
+# ---------------------------------------------------------------------------
+
+@st.composite
+def graph_walks(draw):
+    """A graph on <= 12 vertices (edgeless allowed) and a genotype walk over it.
+
+    Each step is (parent pick, whether to pick among the archive, vertices to
+    flip, whether the child joins the stand-in archive whose residual states
+    the Evaluator keeps).
+    """
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, present) if keep]
+    weights = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(),
+                                    st.sets(st.integers(0, n - 1), min_size=1),
+                                    st.booleans()),
+                          min_size=4, max_size=20))
+    return ec.build_graph(n, weights, edges), steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graph_walks())
+def test_warm_lp_matches_cold_dinic_and_brute_force(walk):
+    g, steps = walk
+    ev = ec.Evaluator(g)
+    cover = np.zeros(g.n, dtype=np.uint8)
+    for u, v in g.edges:  # both ends of a maximal matching
+        if not (cover[u] or cover[v]):
+            cover[u] = cover[v] = 1
+    inds, archive = [], []
+    for bits in (np.zeros(g.n, np.uint8), np.ones(g.n, np.uint8), cover):
+        inds.append(ev.evaluate(bits))
+    for pick, from_archive, flips, keep in steps:
+        pool = archive if from_archive and archive else inds
+        parent = pool[pick % len(pool)]
+        bits = parent.bits.copy()
+        bits[sorted(flips)] ^= 1
+        child = ev.evaluate(bits, parent)
+        inds.append(child)
+        if keep:
+            archive = [m for m in archive if m.key != child.key][-3:] + [child]
+            ev.retain(child, archive)
+    for ind in inds:
+        cold = ec.lp_value2(g, ind.bits)
+        assert ind.lp2 == cold == ec.brute_force_lp(ec.residual(g, ind.bits), g.weights).value2
+
+
+def test_residual_states_stay_within_the_archive():
+    g = ec.gnp(40, 0.1, w_max=16, seed=3)
+    for algorithm in ec.ALGORITHMS:
+        ev = ec.Evaluator(g)
+        sizes = []
+
+        def check(it, cand, accepted, archive):
+            sizes.append(len(archive.members))
+            assert len(ev._states) <= len(archive.members) + 2, (algorithm, it)
+
+        ec.run(algorithm, g, 5, ec.Termination(budget=2000), evaluator=ev, callback=check)
+        assert len(ev._states) <= sizes[-1] + 2
+        assert len(ev) > 10 * max(sizes)  # the memo is far larger than the store
+
+
+# RunTraces of the four loops on gnp(30, 0.2, w_max=16, seed=4), OPT 155,
+# captured with the cold per-genotype LP solve; series_sha digests the series.
+GOLDEN_GNP30 = {
+    "gsemo": {
+        "algorithm": "gsemo",
+        "seed": 11,
+        "n": 30,
+        "iterations": 4000,
+        "max_archive": 130,
+        "best_cost": 170,
+        "best_cover": "100100110101001110111111101101",
+        "iters_to_zero_string": None,
+        "iters_to_cover": 1157,
+        "iters_to_target": 1157,
+        "target_kind": "ratio",
+        "bound_violations": 0,
+        "series_sha": "def8c924af46e77f",
+    },
+    "gsemo-alt": {
+        "algorithm": "gsemo-alt",
+        "seed": 11,
+        "n": 30,
+        "iterations": 4000,
+        "max_archive": 117,
+        "best_cost": 155,
+        "best_cover": "101100110111000110101001101101",
+        "iters_to_zero_string": None,
+        "iters_to_cover": 1,
+        "iters_to_target": 198,
+        "target_kind": "ratio",
+        "bound_violations": 0,
+        "series_sha": "4c3ef6e3bcea1b16",
+    },
+    "demo": {
+        "algorithm": "demo",
+        "seed": 11,
+        "n": 30,
+        "iterations": 4000,
+        "max_archive": 128,
+        "best_cost": 160,
+        "best_cover": "101110110111000100101001101101",
+        "iters_to_zero_string": None,
+        "iters_to_cover": 3358,
+        "iters_to_target": 3358,
+        "target_kind": "ratio",
+        "bound_violations": 0,
+        "series_sha": "2360081cd42f77fc",
+    },
+    "dpbea": {
+        "algorithm": "dpbea",
+        "seed": 11,
+        "n": 30,
+        "iterations": 4000,
+        "max_archive": 38,
+        "best_cost": 159,
+        "best_cover": "100100110101000110111101101101",
+        "iters_to_zero_string": None,
+        "iters_to_cover": 1,
+        "iters_to_target": 273,
+        "target_kind": "ratio",
+        "bound_violations": 0,
+        "series_sha": "142b0d341a27434f",
+    },
+}
+
+
+def test_run_traces_match_cold_solver_goldens():
+    g = ec.gnp(30, 0.2, w_max=16, seed=4)
+    term = ec.Termination(budget=4000, target_ratio=Fraction(5, 4), opt=155,
+                          until_zero_string=True)
+    for algorithm in ec.ALGORITHMS:
+        tr = ec.run(algorithm, g, 11, term, check_bounds=True, record_series=True)
+        got = dataclasses.asdict(tr)
+        series = got.pop("series")
+        if got["best_cover"] is not None:
+            got["best_cover"] = "".join(map(str, got["best_cover"]))
+        got["series_sha"] = hashlib.sha256(json.dumps(series).encode()).hexdigest()[:16]
+        assert got == GOLDEN_GNP30[algorithm]
 
 
 def _pairwise_no_strong_domination(members):

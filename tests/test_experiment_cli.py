@@ -290,3 +290,27 @@ def test_cli_usage_errors(instance_file):
     assert main(["run", "--algo", "gsemo", "--instance", instance_file]) == 2
     assert main(["run", "--algo", "gsemo", "--instance", instance_file,
                  "--budget", "5", "--epsilon", "0.5", "--target-ratio", "2"]) == 2
+    for bad in (["--budget", "-5"], ["--budget", "5", "--epsilon", "-3"],
+                ["--budget", "5", "--target-ratio", "1/2"], ["--budget", "5", "--seed", "-1"],
+                ["--budget", "5", "--opt", "-1"]):
+        assert main(["run", "--algo", "gsemo", "--instance", instance_file] + bad) == 2, bad
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_rejects_opt_below_lp_bound(instance_file, tmp_path, capsys):
+    # unit triangle: LP(0^n) = 3/2, so OPT >= 2
+    for opt in ("0", "1"):
+        assert main(["run", "--algo", "gsemo", "--instance", instance_file, "--budget", "50",
+                     "--opt", opt, "--target-ratio", "2", "--format", "json"]) == 2
+        assert main(["experiment", "--algo", "gsemo", "--instance", instance_file,
+                     "--trials", "2", "--budget", "50", "--opt", opt,
+                     "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["run", "--algo", "gsemo", "--instance", instance_file, "--budget", "50",
+                 "--opt", "2", "--target-ratio", "2", "--format", "json"]) == 0
+    assert _strict_json(capsys.readouterr().out)["ratio"] == 1.0
