@@ -197,7 +197,7 @@ class Evaluator:
     shared across sequential runs on the same graph; concurrent runs must
     use separate Evaluator instances.
 
-    LP values come from one ``DoubleCover`` network per graph, built at the
+    LP values come from one ``DoubleCover`` flow per graph, created at the
     first solve. A child is solved from its parent's maximum flow when the
     parent's residual state is stored, else from the last flow solved.
     States are stored only for archive members (see ``retain``), so they

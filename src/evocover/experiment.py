@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,7 +169,9 @@ def run_experiment(g: WeightedGraph, cfg: ExperimentConfig) -> ExperimentResult:
             (g, cfg.algorithm, seeds[i:i + chunk], termination, cfg.check_bounds)
             for i in range(0, len(seeds), chunk)
         ]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # fork starts every worker at once: no more than there are batches or cores
+        workers = min(cfg.workers, len(batches), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_trial_batch, b) for b in batches]
             try:
                 for f in futures:
@@ -336,20 +339,27 @@ def records_from_csv(text: str) -> list[TrialRecord]:
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header, want {','.join(CSV_COLUMNS)}")
     out = []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        out.append(TrialRecord(
-            seed=int(row[0]),
-            iters_to_zero_string=_opt_int(row[1]),
-            iters_to_cover=_opt_int(row[2]),
-            iters_to_target=_opt_int(row[3]),
-            max_archive=int(row[4]),
-            best_cost=_opt_int(row[5]),
-            opt=_opt_int(row[6]),
-            ratio=None if row[7] == "" else float(row[7]),
-            censored={"true": True, "false": False}[row[8]],
-        ))
+        try:
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"want {len(CSV_COLUMNS)} cells, got {len(row)}")
+            if row[8] not in ("true", "false"):
+                raise ValueError(f"censored must be true or false, got {row[8]!r}")
+            out.append(TrialRecord(
+                seed=int(row[0]),
+                iters_to_zero_string=_opt_int(row[1]),
+                iters_to_cover=_opt_int(row[2]),
+                iters_to_target=_opt_int(row[3]),
+                max_archive=int(row[4]),
+                best_cost=_opt_int(row[5]),
+                opt=_opt_int(row[6]),
+                ratio=None if row[7] == "" else float(row[7]),
+                censored=row[8] == "true",
+            ))
+        except ValueError as exc:
+            raise ValueError(f"CSV line {line}: {exc}") from None
     return out
 
 

@@ -8,7 +8,9 @@ The solver reduces to max-flow on the bipartite double cover: source -> v_L
 with capacity w(v), v_R -> sink with capacity w(v), and for every edge (u, v)
 the unbounded arcs u_L -> v_R and v_L -> u_R. The max-flow value equals
 2 * LP, and the canonical source-side minimum cut yields a deterministic
-optimal half-integral assignment.
+optimal half-integral assignment. ``solve_cover_lp`` solves it cold with
+Dinic, and is the tests' oracle; ``DoubleCover`` solves it warm for the
+Evaluator on a three-list flow instead of a general network.
 """
 
 from __future__ import annotations
@@ -69,101 +71,138 @@ def solve_cover_lp(num_vertices: int,
 
 
 class DoubleCover:
-    """The double-cover network of one whole graph, re-solved from its last flow.
+    """The double cover of one whole graph, re-solved from its last flow.
 
-    Built once per graph: s -> v_L and v_R -> t at capacity w(v) for every
-    vertex, and the unbounded u_L -> v_R and v_L -> u_R for every edge. A
-    selected vertex has its terminal arcs and edge arcs at capacity 0, so the
-    max-flow value is 2 * LP of the residual graph (closing the edge arcs
-    only keeps the searches out of dead ends). Every s-t path has three arcs
-    (s -> u_L -> v_R -> t), so the flow on an edge arc is the flow of one
-    path, and a change of selection is a local edit of the current flow:
+    Every s-t path has three arcs, s -> x_L -> y_R -> t, so the flow is kept
+    as three lists: the flow on each edge arc x_L -> y_R, each vertex's spare
+    supply (residual of s -> x_L) and spare demand (residual of y_R -> t). A
+    selected vertex has no supply, demand or flow, so the max-flow value is
+    2 * LP of the residual graph. A change of selection edits the flow:
 
-    * selecting v cancels the flow on the edge arcs at v_L and v_R, returning
-      each unit to the far endpoint's terminal arc, and closes v's arcs;
-    * deselecting v reopens its terminal arcs at w(v) and its edge arcs to
-      unselected neighbours; the flow stays valid.
+    * selecting v cancels the flow on v's edge arcs, returning each unit to
+      the far endpoint's supply or demand, then zeroes v's supply and demand;
+    * deselecting v restores w(v) to both; the flow stays valid.
 
-    Dinic then augments from the edited flow (the flow reuse of dynamic graph
-    cuts). The max-flow value does not depend on the flow it starts from, so
-    the result is the cold solver's.
+    Then, in rounds (the flow reuse of dynamic graph cuts), a breadth-first
+    search from every x_L with spare supply moves L -> R over edge arcs to
+    unselected y and R -> L back over arcs carrying flow, and each reached
+    y_R with spare demand is augmented along its tree path by the path's
+    bottleneck at that time, until a search reaches no such y_R. The
+    max-flow value does not depend on the starting flow, so the result is
+    the cold Dinic solver's (``solve_cover_lp``).
     """
 
-    __slots__ = ("net", "bits", "value2", "_w", "_unbounded", "_src", "_snk", "_out", "_in")
+    __slots__ = ("bits", "value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head",
+                 "_out", "_in")
 
     def __init__(self, g: WeightedGraph):
         n = g.n
-        net = MaxFlow(2 + 2 * n)
-        # nodes: 0 = source, 1 = sink, 2+i = left copy, 2+n+i = right copy
-        self._w = g.weights
-        self._src = [net.add_arc(0, 2 + i, w) for i, w in enumerate(g.weights)]
-        self._snk = [net.add_arc(2 + n + i, 1, w) for i, w in enumerate(g.weights)]
-        self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # v_L -> u_R, u
-        self._in: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # u_L -> v_R, u
-        unbounded = self._unbounded = g.total_weight + 1
-        for u, v in g.edges:
-            a = net.add_arc(2 + u, 2 + n + v, unbounded)
-            b = net.add_arc(2 + v, 2 + n + u, unbounded)
-            self._out[u].append((a, v))
-            self._in[v].append((a, u))
-            self._out[v].append((b, u))
-            self._in[u].append((b, v))
-        self.net = net
+        self._w = list(g.weights)
+        # edge arc a runs _tail[a]_L -> _head[a]_R; both directions of every edge
+        self._tail = [x for u, v in g.edges for x in (u, v)]
+        self._head = [y for u, v in g.edges for y in (v, u)]
+        self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # x -> (a, y)
+        self._in: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # y -> (a, x)
+        for a, (x, y) in enumerate(zip(self._tail, self._head)):
+            self._out[x].append((a, y))
+            self._in[y].append((a, x))
+        self._flow = [0] * len(self._tail)
+        self._sup = list(self._w)
+        self._dem = list(self._w)
         self.bits = np.zeros(n, dtype=np.uint8)  # selection of the current flow
         self.value2 = 0  # value of the current flow
-
-    def _close(self, v: int) -> int:
-        """Cancel the paths through v and close its arcs; returns the flow removed."""
-        cap, src, snk = self.net._cap, self._src, self._snk
-        for e, u in self._out[v]:  # paths s -> v_L -> u_R -> t
-            f = cap[e ^ 1]
-            if f:
-                a = snk[u]
-                cap[a] += f
-                cap[a ^ 1] -= f
-            cap[e] = cap[e ^ 1] = 0
-        for e, u in self._in[v]:  # paths s -> u_L -> v_R -> t
-            f = cap[e ^ 1]
-            if f:
-                a = src[u]
-                cap[a] += f
-                cap[a ^ 1] -= f
-            cap[e] = cap[e ^ 1] = 0
-        a, b = src[v], snk[v]
-        removed = cap[a ^ 1] + cap[b ^ 1]
-        cap[a] = cap[a ^ 1] = cap[b] = cap[b ^ 1] = 0
-        return removed
 
     def solve(self, bits: np.ndarray) -> int:
         """2 * LP of the residual graph of ``bits``, augmenting from the current flow.
 
         ``bits`` is kept as the current selection and must not be mutated.
         """
-        cap, w, unbounded = self.net._cap, self._w, self._unbounded
+        flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
         value = self.value2
         for v in np.flatnonzero(self.bits != bits).tolist():
             if bits[v]:
-                value -= self._close(v)
+                for a, y in self._out[v]:  # paths s -> v_L -> y_R -> t
+                    f = flow[a]
+                    if f:
+                        flow[a] = 0
+                        dem[y] += f
+                for a, x in self._in[v]:  # paths s -> x_L -> v_R -> t
+                    f = flow[a]
+                    if f:
+                        flow[a] = 0
+                        sup[x] += f
+                value -= 2 * w[v] - sup[v] - dem[v]
+                sup[v] = dem[v] = 0
             else:
-                cap[self._src[v]] = cap[self._snk[v]] = w[v]
-                for e, u in self._out[v]:
-                    if not bits[u]:
-                        cap[e] = unbounded
-                for e, u in self._in[v]:
-                    if not bits[u]:
-                        cap[e] = unbounded
+                sup[v] = dem[v] = w[v]
         self.bits = bits
-        self.value2 = value + self.net.max_flow(0, 1)
+        self.value2 = value + self._augment(bits.tolist())
         return self.value2
 
-    def state(self) -> tuple[np.ndarray, int, list[int]]:
-        """The current selection and flow value, and a copy of the residual capacities."""
-        return self.bits, self.value2, list(self.net._cap)
+    def _augment(self, sel: list[int]) -> int:
+        """Augment the current flow to a maximum one; returns the flow added."""
+        flow, sup, dem, tail, head = self._flow, self._sup, self._dem, self._tail, self._head
+        out, inn = self._out, self._in
+        n = len(sup)
+        added = 0
+        while True:
+            via_l = [-2] * n  # arc that reached x_L, -1 for a source
+            via_r = [-1] * n  # arc that reached y_R
+            front = [x for x in range(n) if sup[x]]
+            for x in front:
+                via_l[x] = -1
+            sinks = []
+            while front:
+                reached = []
+                for x in front:
+                    for a, y in out[x]:
+                        if via_r[y] < 0 and not sel[y]:
+                            via_r[y] = a
+                            reached.append(y)
+                front = []
+                for y in reached:
+                    if dem[y]:
+                        sinks.append(y)
+                    for a, x in inn[y]:
+                        if flow[a] and via_l[x] == -2:
+                            via_l[x] = a
+                            front.append(x)
+            if not sinks:
+                return added
+            for y in sinks:
+                b = dem[y]
+                x = tail[via_r[y]]
+                while b and via_l[x] >= 0:
+                    a = via_l[x]
+                    if flow[a] < b:
+                        b = flow[a]
+                    x = tail[via_r[head[a]]]
+                if sup[x] < b:
+                    b = sup[x]
+                if not b:
+                    continue
+                dem[y] -= b
+                x = tail[via_r[y]]
+                flow[via_r[y]] += b
+                while via_l[x] >= 0:
+                    a = via_l[x]
+                    flow[a] -= b
+                    a = via_r[head[a]]
+                    flow[a] += b
+                    x = tail[a]
+                sup[x] -= b
+                added += b
 
-    def load(self, state: tuple[np.ndarray, int, list[int]]) -> None:
+    def state(self) -> tuple:
+        """The current selection and flow value, and copies of the flow lists."""
+        return self.bits, self.value2, self._flow[:], self._sup[:], self._dem[:]
+
+    def load(self, state: tuple) -> None:
         """Make a state returned by ``state`` current again."""
-        self.bits, self.value2, caps = state
-        self.net._cap[:] = caps
+        self.bits, self.value2, flow, sup, dem = state
+        self._flow[:] = flow
+        self._sup[:] = sup
+        self._dem[:] = dem
 
 
 def solve_lp(rg: ResidualGraph, weights: Sequence[int]) -> HalfIntegralLP:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -67,6 +69,33 @@ def test_experiment_parallel_invariance(triangle):
     assert seq.records == par.records
     assert expmod.records_to_csv(seq.records) == expmod.records_to_csv(par.records)
     assert expmod.summary_json(seq.summary) == expmod.summary_json(par.summary)
+
+
+def test_experiment_worker_count_is_capped(triangle, monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: runs each batch at submit, starts no process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(expmod, "ProcessPoolExecutor", InProcessPool)
+    result = expmod.run_experiment(triangle, small_config(workers=10_000))
+    # 8 trials in 8 batches of one
+    assert requested == [min(8, os.cpu_count() or 1)]
+    assert result.records == expmod.run_experiment(triangle, small_config(workers=1)).records
 
 
 def test_experiment_single_trial_matches_run_trial(triangle):
@@ -258,6 +287,20 @@ def test_csv_round_trip_with_censored_and_infinite_ratio():
                            opt=0, ratio=math.inf, censored=True),
     ]
     assert expmod.records_from_csv(expmod.records_to_csv(rows)) == rows
+
+
+def test_records_from_csv_names_the_bad_line():
+    rec = expmod.TrialRecord(seed=1, iters_to_zero_string=0, iters_to_cover=5,
+                             iters_to_target=5, max_archive=2, best_cost=4,
+                             opt=3, ratio=4 / 3, censored=False)
+    header, row = expmod.records_to_csv([rec]).splitlines()
+    bad_censored = row.rsplit(",", 1)[0] + ",maybe"
+    with pytest.raises(ValueError, match="line 3: censored must be true or false"):
+        expmod.records_from_csv("\n".join([header, row, bad_censored]))
+    with pytest.raises(ValueError, match="line 2: want 9 cells, got 3"):
+        expmod.records_from_csv("\n".join([header, "1,2,3"]))
+    with pytest.raises(ValueError, match="line 2: invalid literal"):
+        expmod.records_from_csv("\n".join([header, "x" + row]))
 
 
 def test_experiment_edgeless_instance_ratio_one():

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evocover as ec
+from evocover.lp import DoubleCover
 from conftest import make_instances, np_rng, random_genotype, tiny_lp_value2
 
 
@@ -153,3 +156,67 @@ def test_flip_reduces_value_by_assignment_share():
                     flipped = np.asarray(x, dtype=np.uint8).copy()
                     flipped[orig] = 1
                     assert ec.lp_value2(g, flipped) <= base - a * g.weights[orig]
+
+
+# ---------------------------------------------------------------------------
+# Warm double cover
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cover_edit_walks(draw):
+    """A graph on <= 12 vertices (edgeless allowed) and a walk of edits on it.
+
+    Each step is (vertices to flip, which saved state to reload first,
+    whether to reload one, whether to save the state after the solve).
+    """
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, present) if keep]
+    weights = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.sets(st.integers(0, n - 1), min_size=1),
+                                    st.integers(0, 10 ** 6), st.booleans(), st.booleans()),
+                          min_size=1, max_size=30))
+    return ec.build_graph(n, weights, edges), steps
+
+
+def assert_flow_state(g, cover, bits):
+    """The flow lists form a valid flow of value ``value2`` on ``bits``'s selection."""
+    used_sup = [0] * g.n
+    used_dem = [0] * g.n
+    for x, arcs in enumerate(cover._out):
+        for a, y in arcs:
+            f = cover._flow[a]
+            assert f >= 0 and (f == 0 or not (bits[x] or bits[y]))
+            used_sup[x] += f
+            used_dem[y] += f
+    for v, w in enumerate(g.weights):
+        cap = 0 if bits[v] else w
+        assert cover._sup[v] == cap - used_sup[v] >= 0
+        assert cover._dem[v] == cap - used_dem[v] >= 0
+    assert cover.value2 == sum(used_sup) == sum(used_dem)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cover_edit_walks())
+def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
+    g, steps = walk
+    cover = DoubleCover(g)
+    bits = np.zeros(g.n, dtype=np.uint8)
+    saved = []  # (state, selection, value) taken many solves apart
+    for flips, pick, reload, save in steps:
+        if reload and saved:
+            state, bits, _ = saved[pick % len(saved)]
+            cover.load(state)
+        bits = bits.copy()
+        bits[sorted(flips)] ^= 1
+        value = cover.solve(bits)
+        assert value == ec.lp_value2(g, bits)
+        assert_flow_state(g, cover, bits)
+        if save:
+            saved.append((cover.state(), bits, value))
+    # saved copies must not alias the live lists: each still holds its flow
+    for state, bits, value in reversed(saved):
+        cover.load(state)
+        assert_flow_state(g, cover, bits)
+        assert cover.solve(bits) == value
