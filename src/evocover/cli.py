@@ -215,8 +215,8 @@ def cmd_run(args) -> int:
         raise expmod.ConfigError("run needs --budget and/or a target")
     opt = args.opt
     if opt is not None or target is not None:
-        cfg = expmod.ExperimentConfig(algorithm=args.algo, trials=1, target_ratio=target,
-                                      opt=opt)
+        cfg = expmod.ExperimentConfig(algorithm=args.algo, trials=1, budget=args.budget,
+                                      target_ratio=target, opt=opt)
         opt = expmod.resolve_opt(g, cfg)
     termination = Termination(budget=args.budget, any_cover=args.target_cover,
                               target_ratio=target, opt=opt)

@@ -202,6 +202,13 @@ class Evaluator:
     parent's residual state is stored, else from the last flow solved.
     States are stored only for archive members (see ``retain``), so they
     take memory in proportion to the archive, not to the cache.
+
+    A solve given the archive's ``threshold`` stops once the flow reaches
+    it, where the archive is sure to reject the candidate. Such a candidate's
+    lp2 is a lower bound, not exact: it is held in a second dict, apart from
+    the exact ``_cache``, and reused while it still meets the threshold of
+    the moment. Otherwise the genotype is solved again without a limit and
+    moves to ``_cache``, so no genotype is solved more than twice.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -211,37 +218,67 @@ class Evaluator:
         self._eu = g._edge_u
         self._ev = g._edge_v
         self._cache: dict[bytes, Individual] = {}
+        self._bounded: dict[bytes, Individual] = {}  # lp2 a lower bound only
         self._cover: DoubleCover | None = None
         self._solved: bytes | None = None  # key of the network's current flow
         self._states: dict[bytes, tuple] = {}  # key -> DoubleCover state
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._cache) + len(self._bounded)
 
-    def evaluate(self, bits: np.ndarray, parent: Individual | None = None) -> Individual:
+    def evaluate(self, bits: np.ndarray, parent: Individual | None = None,
+                 threshold: Callable[[int, int], int | None] | None = None) -> Individual:
         """Objectives of ``bits``; ``parent`` names the genotype it was mutated
-        from, whose stored flow the LP solve then starts from."""
+        from, whose stored flow the LP solve then starts from.
+
+        ``threshold(cost, ones)`` is the archive's smallest lp2 at which it
+        is sure to reject the candidate, or None. With it, the returned lp2
+        may be a lower bound that is at least that threshold (and at least
+        1, so it never reads as a cover); without it, lp2 is exact.
+        """
         key = bits.tobytes()
         ind = self._cache.get(key)
         if ind is not None:
             return ind
+        ind = self._bounded.get(key)
+        if ind is not None:
+            limit = None if threshold is None else threshold(ind.cost, ind.ones)
+            if limit is not None and ind.lp2 >= limit:
+                return ind
+            del self._bounded[key]
+            ind.lp2 = self._solve(key, ind.bits, parent, None)
+            ind.box = None
+            self._cache[key] = ind
+            return ind
         bits = np.array(bits, dtype=np.uint8)  # own the stored copy
         n = self.n
         cost = int(self._w @ bits)
+        ones = int(bits.sum())
         incident = np.zeros(n, dtype=bool)
         lp2 = 0
+        limit = None
         if self._eu.size:
             sel = bits.view(np.bool_)
             unc = ~(sel[self._eu] | sel[self._ev])
             if unc.any():
                 incident[self._eu[unc]] = True
                 incident[self._ev[unc]] = True
-                lp2 = self._solve(key, bits, parent)
-        ind = Individual(bits, key, cost, lp2, int(bits.sum()), incident)
-        self._cache[key] = ind
+                if threshold is not None:
+                    limit = threshold(cost, ones)
+                    if limit is not None:
+                        # some edge is uncovered, so lp2 >= 2: a value
+                        # stopped at 1 or more never reads as a cover
+                        limit = max(limit, 1)
+                lp2 = self._solve(key, bits, parent, limit)
+        ind = Individual(bits, key, cost, lp2, ones, incident)
+        if limit is not None and lp2 >= limit:
+            self._bounded[key] = ind
+        else:
+            self._cache[key] = ind
         return ind
 
-    def _solve(self, key: bytes, bits: np.ndarray, parent: Individual | None) -> int:
+    def _solve(self, key: bytes, bits: np.ndarray, parent: Individual | None,
+               limit: int | None) -> int:
         cover = self._cover
         if cover is None:
             cover = self._cover = DoubleCover(self.graph)
@@ -250,7 +287,7 @@ class Evaluator:
             if state is not None:
                 cover.load(state)
         self._solved = key
-        return cover.solve(bits)
+        return cover.solve(bits, limit)
 
     def retain(self, ind: Individual, members: list[Individual]) -> None:
         """Report that ``ind`` entered the archive, now ``members``.
@@ -307,6 +344,10 @@ def alternative_mutation(g: WeightedGraph, x: Sequence[int] | np.ndarray,
 # gsemo and demo archives are mutually non-dominated, hence sortable by cost
 # with strictly decreasing lp2; both checks and evictions then reduce to a
 # bisect plus a contiguous slice.
+#
+# Each archive's threshold(cost, ones) is the smallest lp2 at which insert
+# is sure to reject a candidate of that cost and ones count, or None; the
+# Evaluator's LP search stops there (see Evaluator).
 
 class SemoArchive:
     """Pareto archive: reject weakly dominated candidates, evict the dominated."""
@@ -318,6 +359,12 @@ class SemoArchive:
     def __init__(self):
         self.members: list[Individual] = []
         self._costs: list[int] = []
+
+    def threshold(self, cost: int, ones: int) -> int | None:
+        """The lp2 of the member with the largest cost <= ``cost``: at or above
+        it, that member weakly dominates the candidate."""
+        i = bisect_right(self._costs, cost)
+        return self.members[i - 1].lp2 if i else None
 
     def insert(self, cand: Individual) -> bool:
         members, costs = self.members, self._costs
@@ -347,6 +394,10 @@ class DemoArchive:
         self.members: list[Individual] = []
         self._costs: list[int] = []
         self._by_box: dict[BoxIndex, Individual] = {}
+
+    # At or above that lp2, the member strongly dominates the candidate, or
+    # has its fitness and so wins the tie of their common box.
+    threshold = SemoArchive.threshold
 
     def insert(self, cand: Individual) -> bool:
         if cand.box is None:
@@ -384,7 +435,8 @@ class DpbeaArchive:
     """Per-ones-count groups; each keeps argmin(2*cost+lp2) and argmin(cost+lp2).
 
     Candidates always join their group; the group is then reduced to the two
-    minimizers (which may coincide). Comparator ties favor incumbents.
+    minimizers (which may coincide), kept as [argmin(2*cost+lp2)] or
+    [argmin(2*cost+lp2), argmin(cost+lp2)]. Comparator ties favor incumbents.
     """
 
     discipline = "dpbea"
@@ -395,6 +447,16 @@ class DpbeaArchive:
         self.members: list[Individual] = []
         self._groups: dict[int, list[Individual]] = {}
         self.max_group_size = 0
+
+    def threshold(self, cost: int, ones: int) -> int | None:
+        """max(K1 - 2 cost, K2 - cost), with K1 and K2 the minima of
+        2*cost+lp2 and cost+lp2 over the group of ``ones``: at or above it,
+        the candidate beats neither minimizer (ties favor incumbents)."""
+        grp = self._groups.get(ones)
+        if grp is None:
+            return None
+        m1, m2 = grp[0], grp[-1]
+        return max(2 * (m1.cost - cost) + m1.lp2, m2.cost - cost + m2.lp2)
 
     def _rebuild(self) -> None:
         groups = self._groups
@@ -428,18 +490,6 @@ class DpbeaArchive:
             self.max_group_size = len(new_grp)
         self._rebuild()
         return any(y is cand for y in new_grp)
-
-
-def semo_insert(archive: SemoArchive, cand: Individual) -> bool:
-    return archive.insert(cand)
-
-
-def demo_insert(archive: DemoArchive, cand: Individual) -> bool:
-    return archive.insert(cand)
-
-
-def dpbea_insert(archive: DpbeaArchive, cand: Individual) -> bool:
-    return archive.insert(cand)
 
 
 def make_archive(algorithm: str, n: int):
@@ -548,6 +598,7 @@ def run(algorithm: str,
     n = g.n
     rng = RngStream(seed)
     archive = make_archive(algorithm, n)
+    threshold = archive.threshold
     use_alt = algorithm in ("gsemo-alt", "dpbea")
     inv_n = 1.0 / n
     std_pvec = np.full(n, inv_n)
@@ -606,9 +657,11 @@ def run(algorithm: str,
             pvec = std_pvec
         flips = rng.uniforms(n) < pvec
         if flips.any():
-            cand = ev.evaluate(parent.bits ^ flips.view(np.uint8), parent)
+            cand = ev.evaluate(parent.bits ^ flips.view(np.uint8), parent, threshold)
         else:
             cand = parent
+        # a candidate whose lp2 is only a bound is rejected, but still
+        # inserted: a dpbea group may shrink on a rejected insert
         accepted = archive.insert(cand)
         if accepted:
             ev.retain(cand, archive.members)

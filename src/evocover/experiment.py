@@ -131,9 +131,12 @@ def resolve_opt(g: WeightedGraph, cfg: ExperimentConfig) -> int | None:
     """Supplied OPT wins; otherwise the exact oracle is consulted when feasible.
 
     A supplied OPT below the LP lower bound ceil(LP(0^n)) is provably wrong
-    and rejected.
+    and rejected. A ratio target against a supplied OPT needs a budget: if
+    that OPT is too low, no cover meets the target.
     """
     if cfg.opt is not None:
+        if cfg.target_ratio is not None and cfg.budget is None:
+            raise ConfigError("a ratio target with a supplied opt needs a budget")
         bound = -(-lp_value2(g, [0] * g.n) // 2)
         if cfg.opt < bound:
             raise ConfigError(f"opt {cfg.opt} is below the LP lower bound {bound}")

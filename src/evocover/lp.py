@@ -89,7 +89,9 @@ class DoubleCover:
     y_R with spare demand is augmented along its tree path by the path's
     bottleneck at that time, until a search reaches no such y_R. The
     max-flow value does not depend on the starting flow, so the result is
-    the cold Dinic solver's (``solve_cover_lp``).
+    the cold Dinic solver's (``solve_cover_lp``). A solve given a ``limit``
+    may stop early: every flow of the rounds is valid, so its value is a
+    lower bound on 2 * LP.
     """
 
     __slots__ = ("bits", "value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head",
@@ -112,10 +114,13 @@ class DoubleCover:
         self.bits = np.zeros(n, dtype=np.uint8)  # selection of the current flow
         self.value2 = 0  # value of the current flow
 
-    def solve(self, bits: np.ndarray) -> int:
+    def solve(self, bits: np.ndarray, limit: int | None = None) -> int:
         """2 * LP of the residual graph of ``bits``, augmenting from the current flow.
 
-        ``bits`` is kept as the current selection and must not be mutated.
+        With a ``limit``, returns as soon as the flow value reaches it: a
+        value below ``limit`` is exact, one at or above it lies between
+        ``limit`` and 2 * LP. ``bits`` is kept as the current selection and
+        must not be mutated.
         """
         flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
         value = self.value2
@@ -136,11 +141,16 @@ class DoubleCover:
             else:
                 sup[v] = dem[v] = w[v]
         self.bits = bits
-        self.value2 = value + self._augment(bits.tolist())
+        need = None if limit is None else limit - value
+        if need is not None and need <= 0:  # the cancelled flow reaches the limit
+            self.value2 = value
+            return value
+        self.value2 = value + self._augment(bits.tolist(), need)
         return self.value2
 
-    def _augment(self, sel: list[int]) -> int:
-        """Augment the current flow to a maximum one; returns the flow added."""
+    def _augment(self, sel: list[int], need: int | None) -> int:
+        """Augment the current flow to a maximum one, or until ``need`` units
+        are added; returns the flow added."""
         flow, sup, dem, tail, head = self._flow, self._sup, self._dem, self._tail, self._head
         out, inn = self._out, self._in
         n = len(sup)
@@ -192,6 +202,8 @@ class DoubleCover:
                     x = tail[a]
                 sup[x] -= b
                 added += b
+                if need is not None and added >= need:
+                    return added
 
     def state(self) -> tuple:
         """The current selection and flow value, and copies of the flow lists."""

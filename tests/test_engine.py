@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -189,22 +190,22 @@ def test_incident_mask_excludes_selected_vertices():
 
 def test_semo_insert_examples():
     arch = ec.SemoArchive()
-    assert ec.semo_insert(arch, mk(3, 4))  # empty archive accepts
-    assert not ec.semo_insert(arch, mk(3, 4))  # equal fitness is weakly dominated
+    assert arch.insert(mk(3, 4))  # empty archive accepts
+    assert not arch.insert(mk(3, 4))  # equal fitness is weakly dominated
     assert len(arch.members) == 1
 
-    assert ec.semo_insert(arch, mk(2, 4))  # strictly better
+    assert arch.insert(mk(2, 4))  # strictly better
 
     assert [m.fitness for m in arch.members] == [(2, 4)]  # dominated member removed
-    assert ec.semo_insert(arch, mk(3, 3))  # incomparable joins
+    assert arch.insert(mk(3, 3))  # incomparable joins
     assert [m.fitness for m in arch.members] == [(2, 4), (3, 3)]
-    assert not ec.semo_insert(arch, mk(4, 4))  # dominated by both
+    assert not arch.insert(mk(4, 4))  # dominated by both
 
 
 def test_semo_archive_sorted_and_unique_lp2():
     arch = ec.SemoArchive()
     for c, l in [(5, 9), (2, 20), (9, 1), (4, 11), (3, 12)]:
-        ec.semo_insert(arch, mk(c, l))
+        arch.insert(mk(c, l))
     costs = [m.cost for m in arch.members]
     lp2s = [m.lp2 for m in arch.members]
     assert costs == sorted(costs)
@@ -220,27 +221,27 @@ def test_demo_insert_box_tie_rules():
     assert ec.box_index(ec.Fitness(3, 3), n) == ec.box_index(ec.Fitness(3, 4), n)
 
     arch = ec.DemoArchive(n)
-    assert ec.demo_insert(arch, mk(3, 4))
-    assert not ec.demo_insert(arch, mk(4, 3))  # same box, equal sum: incumbent wins
+    assert arch.insert(mk(3, 4))
+    assert not arch.insert(mk(4, 3))  # same box, equal sum: incumbent wins
     assert [m.fitness for m in arch.members] == [(3, 4)]
 
-    assert ec.demo_insert(arch, mk(3, 3))  # same box, strictly smaller sum
+    assert arch.insert(mk(3, 3))  # same box, strictly smaller sum
     assert [m.fitness for m in arch.members] == [(3, 3)]
 
 
 def test_demo_insert_equal_fitness_rejected():
     arch = ec.DemoArchive(4)
-    assert ec.demo_insert(arch, mk(7, 2))
-    assert not ec.demo_insert(arch, mk(7, 2))  # same fitness, same box, ties to incumbent
+    assert arch.insert(mk(7, 2))
+    assert not arch.insert(mk(7, 2))  # same fitness, same box, ties to incumbent
     assert len(arch.members) == 1
 
 
 def test_demo_insert_strong_dominance_and_eviction():
     arch = ec.DemoArchive(1)
-    assert ec.demo_insert(arch, mk(3, 4))
-    assert not ec.demo_insert(arch, mk(5, 6))  # strongly dominated
-    assert ec.demo_insert(arch, mk(9, 1))  # incomparable, different box
-    assert ec.demo_insert(arch, mk(2, 2))  # dominates (3,4) but not (9,1)
+    assert arch.insert(mk(3, 4))
+    assert not arch.insert(mk(5, 6))  # strongly dominated
+    assert arch.insert(mk(9, 1))  # incomparable, different box
+    assert arch.insert(mk(2, 2))  # dominates (3,4) but not (9,1)
     fits = [m.fitness for m in arch.members]
     assert (3, 4) not in fits and (2, 2) in fits and (9, 1) in fits
 
@@ -248,7 +249,7 @@ def test_demo_insert_strong_dominance_and_eviction():
 def test_demo_one_member_per_box():
     arch = ec.DemoArchive(2)
     for c, l in [(50, 3), (51, 2), (49, 4), (60, 1), (1, 90)]:
-        ec.demo_insert(arch, mk(c, l))
+        arch.insert(mk(c, l))
     boxes = [m.box for m in arch.members]
     assert len(set(boxes)) == len(boxes)
 
@@ -256,37 +257,86 @@ def test_demo_one_member_per_box():
 def test_dpbea_insert_examples():
     arch = ec.DpbeaArchive()
     first = mk(4, 0, ones=2)
-    assert ec.dpbea_insert(arch, first)  # empty group keeps the candidate
+    assert arch.insert(first)  # empty group keeps the candidate
     assert arch.members == [first]
 
     # (0,7) minimizes Cost+LP (2c+lp2: 7 < 8) but not Cost+2LP (7 > 4)
     cand = mk(0, 7, ones=2)
-    assert ec.dpbea_insert(arch, cand)
+    assert arch.insert(cand)
     assert set(m.fitness for m in arch.members) == {(4, 0), (0, 7)}
 
     # a third same-ones candidate: the group collapses back to <= 2
-    assert not ec.dpbea_insert(arch, mk(3, 3, ones=2))  # 2c+l = 9, c+l = 6: loses both
+    assert not arch.insert(mk(3, 3, ones=2))  # 2c+l = 9, c+l = 6: loses both
     assert len(arch.members) == 2
     better = mk(1, 1, ones=2)  # wins both comparators
-    assert ec.dpbea_insert(arch, better)
+    assert arch.insert(better)
     assert arch.members == [better]
 
 
 def test_dpbea_groups_are_independent():
     arch = ec.DpbeaArchive()
-    ec.dpbea_insert(arch, mk(4, 0, ones=1))
-    ec.dpbea_insert(arch, mk(9, 9, ones=3))  # dominated, but a different ones-count
+    arch.insert(mk(4, 0, ones=1))
+    arch.insert(mk(9, 9, ones=3))  # dominated, but a different ones-count
     assert len(arch.members) == 2
     assert arch.max_group_size <= 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ec.ALGORITHMS),
+       st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 3)),
+                max_size=12),
+       st.integers(0, 30), st.integers(0, 3))
+def test_archive_threshold_is_sure_to_reject(algorithm, fits, cost, ones):
+    # every lp2 at or above the threshold is rejected; for semo and dpbea the
+    # threshold is also the least such lp2 (a demo box mate may reject below)
+    def build():
+        arch = ec.engine.make_archive(algorithm, 3)
+        for c, l, o in fits:
+            arch.insert(mk(c, l, ones=o))
+        return arch
+
+    t = build().threshold(cost, ones)
+    if t is None:
+        assert algorithm == "demo" or all(build().insert(mk(cost, l, ones)) for l in range(64))
+        return
+    for lp2 in range(max(t, 0), t + 40):
+        arch = build()
+        before = list(arch.members)
+        assert not arch.insert(mk(cost, lp2, ones))
+        if algorithm != "dpbea":
+            assert arch.members == before
+    if algorithm != "demo" and t >= 1:
+        assert build().insert(mk(cost, t - 1, ones))
+
+
+def test_dpbea_rejected_bounded_candidate_leaves_the_exact_group():
+    # b joined first, then a tied it on cost+lp2 and beat it on 2*cost+lp2,
+    # so the group is [a, b]; any further insert that a wins re-picks a as
+    # the first cost+lp2 minimizer and evicts b, accepted or not
+    def build():
+        arch = ec.DpbeaArchive()
+        a, b = mk(2, 8, ones=2), mk(5, 5, ones=2)
+        assert arch.insert(b) and arch.insert(a)
+        assert arch.members == [a, b]
+        return arch, a
+
+    exact_arch, a = build()
+    bound_arch, a2 = build()
+    t = exact_arch.threshold(4, 2)
+    assert t == max(12 - 8, 10 - 4)
+    assert not exact_arch.insert(mk(4, 20, ones=2))  # the exact lp2
+    assert not bound_arch.insert(mk(4, t, ones=2))  # a search stopped at the threshold
+    assert exact_arch.members == [a] and bound_arch.members == [a2]
+    assert exact_arch.max_group_size == bound_arch.max_group_size == 2
 
 
 def test_dpbea_ties_favor_incumbent():
     arch = ec.DpbeaArchive()
     first = mk(2, 2, ones=1)
-    ec.dpbea_insert(arch, first)
-    assert not ec.dpbea_insert(arch, mk(2, 2, ones=1))  # equal on both comparators
+    arch.insert(first)
+    assert not arch.insert(mk(2, 2, ones=1))  # equal on both comparators
     assert arch.members == [first]
-    assert not ec.dpbea_insert(arch, first)  # proposing the member itself is a no-op
+    assert not arch.insert(first)  # proposing the member itself is a no-op
     assert arch.members == [first]
 
 
@@ -479,6 +529,62 @@ def test_residual_states_stay_within_the_archive():
         ec.run(algorithm, g, 5, ec.Termination(budget=2000), evaluator=ev, callback=check)
         assert len(ev._states) <= sizes[-1] + 2
         assert len(ev) > 10 * max(sizes)  # the memo is far larger than the store
+
+
+def test_bounded_candidates_never_enter_the_archive():
+    # searches stopped at the archive's threshold give lower bounds, which
+    # must only ever be rejected; members and stored flows stay exact. At
+    # n = 12 most genotypes are revisited, and the Evaluator is shared by
+    # three runs, so bounds stored under one archive meet the thresholds of
+    # the next, which starts empty.
+    for (g, seeds), algorithm in itertools.product(
+            ((ec.gnp(40, 0.1, w_max=16, seed=3), (5,)),
+             (ec.gnp(12, 0.4, w_max=16, seed=1), (5, 6, 7))),
+            ec.ALGORITHMS):
+        ev = ec.Evaluator(g)
+        seen = {"bounded": 0}
+
+        def check(it, cand, accepted, archive):
+            if cand.key in ev._bounded:
+                seen["bounded"] += 1
+                assert not accepted, (algorithm, it)
+                assert 1 <= cand.lp2 <= ec.lp_value2(g, cand.bits), (algorithm, it)
+            elif accepted:
+                assert cand.lp2 == ec.lp_value2(g, cand.bits), (algorithm, it)
+            for m in archive.members:
+                assert ev._cache.get(m.key) is m, (algorithm, it)
+            for key, state in ev._states.items():
+                assert key in ev._cache and state[1] == ev._cache[key].lp2, (algorithm, it)
+
+        for seed in seeds:
+            ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev,
+                   callback=check)
+        assert seen["bounded"] > 100, algorithm
+        for ind in list(ev._bounded.values()):  # a limitless evaluation solves exactly
+            assert ev.evaluate(ind.bits).lp2 == ec.lp_value2(g, ind.bits)
+            assert ind.key in ev._cache and ind.box is None
+        assert not ev._bounded
+
+
+class _ExactEvaluator(ec.Evaluator):
+    """Ignores the archive's threshold: every search runs to the maximum."""
+
+    def evaluate(self, bits, parent=None, threshold=None):
+        return super().evaluate(bits, parent)
+
+
+def test_stopped_searches_leave_runs_unchanged():
+    # gnp(24, 0.25) seed 2 (the benchmark's target-n24 instance) has dpbea
+    # groups tied on cost + lp2, where a rejected insert still evicts
+    for g, budget in ((ec.gnp(24, 0.25, w_max=16, seed=2), 3000),
+                      (ec.gnp(12, 0.4, w_max=16, seed=1), 2000)):
+        for algorithm in ec.ALGORITHMS:
+            for seed in (1, 2):
+                term = ec.Termination(budget=budget)
+                fast = ec.run(algorithm, g, seed, term, record_series=True)
+                exact = ec.run(algorithm, g, seed, term, record_series=True,
+                               evaluator=_ExactEvaluator(g))
+                assert fast == exact, (g.n, algorithm, seed)
 
 
 # RunTraces of the four loops on gnp(30, 0.2, w_max=16, seed=4), OPT 155,

@@ -357,3 +357,26 @@ def test_cli_rejects_opt_below_lp_bound(instance_file, tmp_path, capsys):
     assert main(["run", "--algo", "gsemo", "--instance", instance_file, "--budget", "50",
                  "--opt", "2", "--target-ratio", "2", "--format", "json"]) == 0
     assert _strict_json(capsys.readouterr().out)["ratio"] == 1.0
+
+
+def test_cli_ratio_target_with_supplied_opt_needs_a_budget(tmp_path, monkeypatch, capsys):
+    # two disjoint unit triangles: LP 3, OPT 4; --opt 3 passes the LP bound,
+    # but no cover costs <= 3, so without a budget the run would never end
+    g = ec.build_graph(6, [1] * 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    path = str(tmp_path / "triangles.wvc")
+    ec.save_instance(g, path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr("evocover.cli.run", no_run)
+    monkeypatch.setattr(expmod, "run", no_run)
+    assert main(["run", "--algo", "gsemo", "--instance", path,
+                 "--opt", "3", "--target-ratio", "1"]) == 2
+    assert main(["run", "--algo", "gsemo", "--instance", path,
+                 "--opt", "3", "--epsilon", "0"]) == 2
+    assert main(["experiment", "--algo", "gsemo", "--instance", path, "--trials", "1",
+                 "--opt", "3", "--target-ratio", "1", "--out", str(tmp_path / "rows.csv")]) == 2
+    assert "needs a budget" in capsys.readouterr().err
+    with pytest.raises(expmod.ConfigError):
+        expmod.run_experiment(g, small_config(budget=None, target_ratio=Fraction(1), opt=3))

@@ -167,7 +167,8 @@ def cover_edit_walks(draw):
     """A graph on <= 12 vertices (edgeless allowed) and a walk of edits on it.
 
     Each step is (vertices to flip, which saved state to reload first,
-    whether to reload one, whether to save the state after the solve).
+    whether to reload one, whether to save the state after the solve, the
+    solve's limit or None).
     """
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -175,7 +176,8 @@ def cover_edit_walks(draw):
     edges = [e for e, keep in zip(pairs, present) if keep]
     weights = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
     steps = draw(st.lists(st.tuples(st.sets(st.integers(0, n - 1), min_size=1),
-                                    st.integers(0, 10 ** 6), st.booleans(), st.booleans()),
+                                    st.integers(0, 10 ** 6), st.booleans(), st.booleans(),
+                                    st.one_of(st.none(), st.integers(0, 200))),
                           min_size=1, max_size=30))
     return ec.build_graph(n, weights, edges), steps
 
@@ -203,18 +205,22 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
     g, steps = walk
     cover = DoubleCover(g)
     bits = np.zeros(g.n, dtype=np.uint8)
-    saved = []  # (state, selection, value) taken many solves apart
-    for flips, pick, reload, save in steps:
+    saved = []  # (state, selection, exact value) taken many solves apart
+    for flips, pick, reload, save, limit in steps:
         if reload and saved:
             state, bits, _ = saved[pick % len(saved)]
-            cover.load(state)
+            cover.load(state)  # possibly a flow stopped at a limit
         bits = bits.copy()
         bits[sorted(flips)] ^= 1
-        value = cover.solve(bits)
-        assert value == ec.lp_value2(g, bits)
+        value = cover.solve(bits, limit)
+        exact = ec.lp_value2(g, bits)
+        if limit is None or value < limit:
+            assert value == exact
+        else:
+            assert limit <= value <= exact
         assert_flow_state(g, cover, bits)
         if save:
-            saved.append((cover.state(), bits, value))
+            saved.append((cover.state(), bits, exact))
     # saved copies must not alias the live lists: each still holds its flow
     for state, bits, value in reversed(saved):
         cover.load(state)
