@@ -81,7 +81,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact minimum-weight vertex cover")
     p.add_argument("--instance", required=True)
-    p.add_argument("--node-cap", type=int, default=exact_mod.DEFAULT_NODE_CAP)
+    p.add_argument("--node-cap", type=_at_least(1, int), default=exact_mod.DEFAULT_NODE_CAP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_exact)
 

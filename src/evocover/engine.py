@@ -164,16 +164,18 @@ class RngStream:
 class Individual:
     """A genotype with its cached objective values and derived data."""
 
-    __slots__ = ("bits", "key", "cost", "lp2", "ones", "incident", "box", "_alt_pvec")
+    __slots__ = ("bits", "key", "cost", "lp2", "ones", "uncovered", "graph", "box",
+                 "_alt_pvec")
 
     def __init__(self, bits: np.ndarray, key: bytes, cost: int, lp2: int,
-                 ones: int, incident: np.ndarray):
+                 ones: int, uncovered: int, graph: WeightedGraph | None):
         self.bits = bits
         self.key = key
         self.cost = cost
         self.lp2 = lp2
         self.ones = ones
-        self.incident = incident  # vertices touching an uncovered edge
+        self.uncovered = uncovered  # number of edges with no selected endpoint
+        self.graph = graph
         self.box: BoxIndex | None = None
         self._alt_pvec: np.ndarray | None = None
 
@@ -185,8 +187,27 @@ class Individual:
     def is_cover(self) -> bool:
         return self.lp2 == 0
 
+    @property
+    def incident(self) -> np.ndarray:
+        """Vertices touching an uncovered edge, computed on each access."""
+        return uncovered_incidence(self.graph, self.bits)
+
     def __repr__(self) -> str:  # debugging aid
         return f"Individual(cost={self.cost}, lp2={self.lp2}, ones={self.ones})"
+
+
+def uncovered_incidence(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
+    """Mask of the vertices touching an edge that ``bits`` (uint8) leaves uncovered.
+
+    Selected vertices cover all their edges, so they are never in the mask.
+    """
+    incident = np.zeros(g.n, dtype=bool)
+    if g.edges:
+        sel = bits.view(np.bool_)
+        unc = ~(sel[g._edge_u] | sel[g._edge_v])
+        incident[g._edge_u[unc]] = True
+        incident[g._edge_v[unc]] = True
+    return incident
 
 
 class Evaluator:
@@ -197,11 +218,17 @@ class Evaluator:
     shared across sequential runs on the same graph; concurrent runs must
     use separate Evaluator instances.
 
-    LP values come from one ``DoubleCover`` flow per graph, created at the
-    first solve. A child is solved from its parent's maximum flow when the
-    parent's residual state is stored, else from the last flow solved.
-    States are stored only for archive members (see ``retain``), so they
-    take memory in proportion to the archive, not to the cache.
+    A child evaluated with its parent and the positions it flipped gets its
+    cost, ones count and number of uncovered edges from the parent's, by a
+    walk over the flipped vertices' neighbours; genotypes evaluated without
+    a parent are computed whole. No uncovered edge means a cover, and no LP.
+
+    LP values come from one ``DoubleCover`` flow per graph, created when
+    first needed. A child is solved from its parent's maximum flow when the
+    parent's residual state is stored, else from the last flow solved; from
+    the parent's flow, the flipped positions are the edits to make. States
+    are stored only for archive members (see ``retain``), so they take
+    memory in proportion to the archive, not to the cache.
 
     A solve given the archive's ``threshold`` stops once the flow reaches
     it, where the archive is sure to reject the candidate. Such a candidate's
@@ -213,7 +240,6 @@ class Evaluator:
 
     def __init__(self, g: WeightedGraph):
         self.graph = g
-        self.n = g.n
         self._w = g._w64
         self._eu = g._edge_u
         self._ev = g._edge_v
@@ -227,7 +253,8 @@ class Evaluator:
         return len(self._cache) + len(self._bounded)
 
     def evaluate(self, bits: np.ndarray, parent: Individual | None = None,
-                 threshold: Callable[[int, int], int | None] | None = None) -> Individual:
+                 threshold: Callable[[int, int], int | None] | None = None,
+                 flips: list[int] | None = None) -> Individual:
         """Objectives of ``bits``; ``parent`` names the genotype it was mutated
         from, whose stored flow the LP solve then starts from.
 
@@ -235,6 +262,10 @@ class Evaluator:
         is sure to reject the candidate, or None. With it, the returned lp2
         may be a lower bound that is at least that threshold (and at least
         1, so it never reads as a cover); without it, lp2 is exact.
+
+        ``flips`` lists the positions where ``bits`` differs from
+        ``parent.bits``. With a parent and ``flips``, ``bits`` is stored as
+        given, not copied, and must not be mutated afterwards.
         """
         key = bits.tobytes()
         ind = self._cache.get(key)
@@ -250,44 +281,72 @@ class Evaluator:
             ind.box = None
             self._cache[key] = ind
             return ind
-        bits = np.array(bits, dtype=np.uint8)  # own the stored copy
-        n = self.n
-        cost = int(self._w @ bits)
-        ones = int(bits.sum())
-        incident = np.zeros(n, dtype=bool)
+        if parent is None or flips is None:
+            bits = np.array(bits, dtype=np.uint8)  # own the stored copy
+            sel = flips = None
+            cost = int(self._w @ bits)
+            ones = int(bits.sum())
+            uncovered = 0
+            if self._eu.size:
+                on = bits.view(np.bool_)
+                uncovered = int(np.count_nonzero(~(on[self._eu] | on[self._ev])))
+        else:
+            cover = self._network()
+            nbrs, w = cover._out, cover._w
+            cost, ones, uncovered = parent.cost, parent.ones, parent.uncovered
+            sel = parent.bits.tolist()
+            # one flip at a time, each against the selection left by the
+            # ones before it, so an edge flipped at both ends counts once
+            for v in flips:
+                free = 0  # edges from v to unselected vertices
+                for _, y in nbrs[v]:
+                    if not sel[y]:
+                        free += 1
+                if sel[v]:
+                    sel[v] = 0
+                    cost -= w[v]
+                    ones -= 1
+                    uncovered += free
+                else:
+                    sel[v] = 1
+                    cost += w[v]
+                    ones += 1
+                    uncovered -= free
         lp2 = 0
         limit = None
-        if self._eu.size:
-            sel = bits.view(np.bool_)
-            unc = ~(sel[self._eu] | sel[self._ev])
-            if unc.any():
-                incident[self._eu[unc]] = True
-                incident[self._ev[unc]] = True
-                if threshold is not None:
-                    limit = threshold(cost, ones)
-                    if limit is not None:
-                        # some edge is uncovered, so lp2 >= 2: a value
-                        # stopped at 1 or more never reads as a cover
-                        limit = max(limit, 1)
-                lp2 = self._solve(key, bits, parent, limit)
-        ind = Individual(bits, key, cost, lp2, ones, incident)
+        if uncovered:
+            if threshold is not None:
+                limit = threshold(cost, ones)
+                if limit is not None:
+                    # some edge is uncovered, so lp2 >= 2: a value
+                    # stopped at 1 or more never reads as a cover
+                    limit = max(limit, 1)
+            lp2 = self._solve(key, bits, parent, limit, flips, sel)
+        ind = Individual(bits, key, cost, lp2, ones, uncovered, self.graph)
         if limit is not None and lp2 >= limit:
             self._bounded[key] = ind
         else:
             self._cache[key] = ind
         return ind
 
-    def _solve(self, key: bytes, bits: np.ndarray, parent: Individual | None,
-               limit: int | None) -> int:
+    def _network(self) -> DoubleCover:
         cover = self._cover
         if cover is None:
             cover = self._cover = DoubleCover(self.graph)
+        return cover
+
+    def _solve(self, key: bytes, bits: np.ndarray, parent: Individual | None,
+               limit: int | None, flips: list[int] | None = None,
+               sel: list[int] | None = None) -> int:
+        cover = self._network()
         if parent is not None and parent.key != self._solved:
             state = self._states.get(parent.key)
-            if state is not None:
+            if state is None:
+                flips = None  # the flow is another genotype's: diff the selections
+            else:
                 cover.load(state)
         self._solved = key
-        return cover.solve(bits, limit)
+        return cover.solve(bits, limit, flips, sel)
 
     def retain(self, ind: Individual, members: list[Individual]) -> None:
         """Report that ``ind`` entered the archive, now ``members``.
@@ -325,13 +384,7 @@ def alternative_mutation(g: WeightedGraph, x: Sequence[int] | np.ndarray,
     bits = as_genotype(x, g.n)
     n = g.n
     if rng.uniform() < 0.5:
-        sel = bits.view(np.bool_)
-        unc = ~(sel[g._edge_u] | sel[g._edge_v]) if g.edges else np.zeros(0, dtype=bool)
-        incident = np.zeros(n, dtype=bool)
-        if unc.size and unc.any():
-            incident[g._edge_u[unc]] = True
-            incident[g._edge_v[unc]] = True
-        pvec = np.where(incident, 0.5, 1.0 / n)
+        pvec = np.where(uncovered_incidence(g, bits), 0.5, 1.0 / n)
         flips = rng.uniforms(n) < pvec
     else:
         flips = rng.uniforms(n) < (1.0 / n)
@@ -656,8 +709,11 @@ def run(algorithm: str,
         else:
             pvec = std_pvec
         flips = rng.uniforms(n) < pvec
-        if flips.any():
-            cand = ev.evaluate(parent.bits ^ flips.view(np.uint8), parent, threshold)
+        flipped = flips.nonzero()[0].tolist()
+        if flipped:
+            # a fresh array, never touched again here: the Evaluator may keep it
+            cand = ev.evaluate(parent.bits ^ flips.view(np.uint8), parent, threshold,
+                               flipped)
         else:
             cand = parent
         # a candidate whose lp2 is only a bound is rejected, but still

@@ -83,7 +83,6 @@ class ExperimentConfig:
 class ExperimentResult:
     records: list[TrialRecord]
     summary: dict
-    traces_bound_violations: int
 
 
 def _ratio(best: int | None, opt: int | None) -> float | None:
@@ -196,10 +195,9 @@ def run_experiment(g: WeightedGraph, cfg: ExperimentConfig) -> ExperimentResult:
             interrupted = True  # keep the finished trials, flush partial results
     pairs.sort(key=lambda p: p[0].seed)
     records = [p[0] for p in pairs]
-    violations = sum(p[1] for p in pairs)
-    summary = summarize(g, cfg, opt, records, violations)
+    summary = summarize(g, cfg, opt, records, sum(p[1] for p in pairs))
     summary["interrupted"] = interrupted
-    return ExperimentResult(records=records, summary=summary, traces_bound_violations=violations)
+    return ExperimentResult(records=records, summary=summary)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ class DoubleCover:
         # edge arc a runs _tail[a]_L -> _head[a]_R; both directions of every edge
         self._tail = [x for u, v in g.edges for x in (u, v)]
         self._head = [y for u, v in g.edges for y in (v, u)]
-        self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # x -> (a, y)
+        # x -> (a, y); the Evaluator also walks these as the neighbour lists
+        self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._in: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # y -> (a, x)
         for a, (x, y) in enumerate(zip(self._tail, self._head)):
             self._out[x].append((a, y))
@@ -114,18 +115,25 @@ class DoubleCover:
         self.bits = np.zeros(n, dtype=np.uint8)  # selection of the current flow
         self.value2 = 0  # value of the current flow
 
-    def solve(self, bits: np.ndarray, limit: int | None = None) -> int:
+    def solve(self, bits: np.ndarray, limit: int | None = None,
+              edits: list[int] | None = None, sel: list[int] | None = None) -> int:
         """2 * LP of the residual graph of ``bits``, augmenting from the current flow.
 
         With a ``limit``, returns as soon as the flow value reaches it: a
         value below ``limit`` is exact, one at or above it lies between
         ``limit`` and 2 * LP. ``bits`` is kept as the current selection and
-        must not be mutated.
+        must not be mutated. A caller that knows them may pass ``edits``, the
+        positions where ``bits`` differs from the current selection, and
+        ``sel``, ``bits.tolist()``; otherwise both are computed here.
         """
         flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
         value = self.value2
-        for v in np.flatnonzero(self.bits != bits).tolist():
-            if bits[v]:
+        if sel is None:
+            sel = bits.tolist()
+        if edits is None:
+            edits = np.flatnonzero(self.bits != bits).tolist()
+        for v in edits:
+            if sel[v]:
                 for a, y in self._out[v]:  # paths s -> v_L -> y_R -> t
                     f = flow[a]
                     if f:
@@ -145,7 +153,7 @@ class DoubleCover:
         if need is not None and need <= 0:  # the cancelled flow reaches the limit
             self.value2 = value
             return value
-        self.value2 = value + self._augment(bits.tolist(), need)
+        self.value2 = value + self._augment(sel, need)
         return self.value2
 
     def _augment(self, sel: list[int], need: int | None) -> int:

@@ -19,8 +19,7 @@ from conftest import make_instances, tiny_box_coord
 
 def mk(cost, lp2, ones=0):
     """Fabricated individual for archive-level tests."""
-    return ec.Individual(np.zeros(1, dtype=np.uint8), b"", cost, lp2, ones,
-                         np.zeros(1, dtype=bool))
+    return ec.Individual(np.zeros(1, dtype=np.uint8), b"", cost, lp2, ones, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -470,23 +469,30 @@ def test_run_fitness_honesty():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def graph_walks(draw):
-    """A graph on <= 12 vertices (edgeless allowed) and a genotype walk over it.
-
-    Each step is (parent pick, whether to pick among the archive, vertices to
-    flip, whether the child joins the stand-in archive whose residual states
-    the Evaluator keeps).
-    """
+def small_graphs(draw):
+    """A graph on <= 12 vertices, edgeless allowed."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, keep in zip(pairs, present) if keep]
     weights = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    return ec.build_graph(n, weights, edges)
+
+
+@st.composite
+def graph_walks(draw):
+    """A small graph and a genotype walk over it.
+
+    Each step is (parent pick, whether to pick among the archive, vertices to
+    flip, whether the child joins the stand-in archive whose residual states
+    the Evaluator keeps).
+    """
+    g = draw(small_graphs())
     steps = draw(st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(),
-                                    st.sets(st.integers(0, n - 1), min_size=1),
+                                    st.sets(st.integers(0, g.n - 1), min_size=1),
                                     st.booleans()),
                           min_size=4, max_size=20))
-    return ec.build_graph(n, weights, edges), steps
+    return g, steps
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -514,6 +520,61 @@ def test_warm_lp_matches_cold_dinic_and_brute_force(walk):
     for ind in inds:
         cold = ec.lp_value2(g, ind.bits)
         assert ind.lp2 == cold == ec.brute_force_lp(ec.residual(g, ind.bits), g.weights).value2
+
+
+@st.composite
+def flip_walks(draw):
+    """A small graph and a walk of children evaluated from their parents' flips.
+
+    Each step is (parent pick, kind, vertices to flip, edge pick, LP limit or
+    None, whether the child joins the stand-in archive). Kind "edge" also
+    flips both ends of an edge; kind "back" repeats the flips that made the
+    parent, which leads back to the parent's own parent.
+    """
+    g = draw(small_graphs())
+    steps = draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                    st.sampled_from(("set", "edge", "back")),
+                                    st.sets(st.integers(0, g.n - 1), min_size=1),
+                                    st.integers(0, 10 ** 6),
+                                    st.none() | st.integers(0, 200),
+                                    st.booleans()),
+                          min_size=4, max_size=25))
+    return g, steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flip_walks())
+def test_delta_evaluation_matches_full_evaluation(walk):
+    # parents are also picked among covers and genotypes never retained,
+    # whose children are solved from another genotype's flow
+    g, steps = walk
+    ev = ec.Evaluator(g)
+    inds = [ev.evaluate(np.zeros(g.n, np.uint8)), ev.evaluate(np.ones(g.n, np.uint8))]
+    made_by, archive = {}, []
+    for pick, kind, flips, e, limit, keep in steps:
+        parent = inds[pick % len(inds)]
+        if kind == "edge" and g.edges:
+            flips = flips | set(g.edges[e % g.m])
+        elif kind == "back" and parent.key in made_by:
+            flips = made_by[parent.key]
+        flips = sorted(flips)
+        bits = parent.bits.copy()
+        bits[flips] ^= 1
+        child = ev.evaluate(bits, parent, lambda cost, ones: limit, flips)
+        made_by.setdefault(child.key, flips)
+        full = ec.Evaluator(g).evaluate(child.bits)
+        assert child.key == full.key == bits.tobytes()
+        assert (child.cost, child.ones) == (full.cost, full.ones)
+        assert child.uncovered == full.uncovered == ec.residual(g, bits).num_edges
+        assert np.array_equal(child.incident, full.incident)
+        if child.key in ev._bounded:
+            assert max(limit, 1) <= child.lp2 <= full.lp2
+        else:
+            assert child.lp2 == full.lp2
+        inds.append(child)
+        if keep and child.key in ev._cache:
+            archive = [m for m in archive if m.key != child.key][-3:] + [child]
+            ev.retain(child, archive)
 
 
 def test_residual_states_stay_within_the_archive():
@@ -569,8 +630,8 @@ def test_bounded_candidates_never_enter_the_archive():
 class _ExactEvaluator(ec.Evaluator):
     """Ignores the archive's threshold: every search runs to the maximum."""
 
-    def evaluate(self, bits, parent=None, threshold=None):
-        return super().evaluate(bits, parent)
+    def evaluate(self, bits, parent=None, threshold=None, flips=None):
+        return super().evaluate(bits, parent, None, flips)
 
 
 def test_stopped_searches_leave_runs_unchanged():

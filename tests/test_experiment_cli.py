@@ -337,6 +337,8 @@ def test_cli_usage_errors(instance_file):
                 ["--budget", "5", "--target-ratio", "1/2"], ["--budget", "5", "--seed", "-1"],
                 ["--budget", "5", "--opt", "-1"]):
         assert main(["run", "--algo", "gsemo", "--instance", instance_file] + bad) == 2, bad
+    for cap in ("0", "-1"):
+        assert main(["exact", "--instance", instance_file, "--node-cap", cap]) == 2, cap
 
 
 def _strict_json(text):
