@@ -187,24 +187,14 @@ def cmd_exact(args) -> int:
 
 
 def _run_json(trace, record) -> str:
-    doc = {
-        "algorithm": trace.algorithm,
-        "seed": trace.seed,
-        "n": trace.n,
-        "iterations": trace.iterations,
-        "max_archive": trace.max_archive,
-        "best_cost": trace.best_cost,
+    doc = vars(trace) | {
         "best_cover": None if trace.best_cover is None
         else "".join(str(b) for b in trace.best_cover),
-        "iters_to_zero_string": trace.iters_to_zero_string,
-        "iters_to_cover": trace.iters_to_cover,
-        "iters_to_target": trace.iters_to_target,
         "opt": record.opt,
         "ratio": record.ratio,
         "censored": record.censored,
-        "bound_violations": trace.bound_violations,
-        "series": trace.series,
     }
+    del doc["target_kind"]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -250,17 +240,10 @@ def cmd_experiment(args) -> int:
     g = load_instance(args.instance)
     target = _resolve_target(args)
     cfg = expmod.ExperimentConfig(
-        algorithm=args.algo,
-        trials=args.trials,
-        seed_base=args.seed,
-        budget=args.budget,
-        target_ratio=target,
-        epsilon=args.epsilon,
-        opt=args.opt,
-        check_bounds=args.check_bounds,
-        until_zero_string=args.until_zero_string,
-        workers=args.workers,
-    )
+        algorithm=args.algo, trials=args.trials, seed_base=args.seed, budget=args.budget,
+        target_ratio=target, epsilon=args.epsilon, opt=args.opt,
+        check_bounds=args.check_bounds, until_zero_string=args.until_zero_string,
+        workers=args.workers)
     result = expmod.run_experiment(g, cfg)
     expmod.write_records_csv(result.records, args.out)
     sys.stdout.write(expmod.summary_json(result.summary))

@@ -26,8 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .graph import WeightedGraph, as_genotype
-# solve_cover_lp is unused here but stays importable: the benchmark's tracer
-# (bench/tracing.py) wraps engine.solve_cover_lp by name.
+# for bench/tracing.py, which wraps engine.solve_cover_lp
 from .lp import DoubleCover, solve_cover_lp  # noqa: F401
 
 ALGORITHMS = ("gsemo", "gsemo-alt", "demo", "dpbea")
@@ -129,18 +128,22 @@ class RngStream:
 
     BLOCK = 4096
 
-    __slots__ = ("seed", "_gen", "_buf", "_pos")
+    __slots__ = ("seed", "_gen", "_buf", "_pos", "_hits", "_hits_p")
 
     def __init__(self, seed: int):
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        self._buf = self._gen.random(self.BLOCK)
+        self._next_block()
         self._pos = 0
+
+    def _next_block(self) -> None:
+        self._buf = self._gen.random(self.BLOCK)
+        self._hits_p = None  # _hits lists the positions of the uniforms < _hits_p
 
     def uniform(self) -> float:
         pos = self._pos
         if pos >= self.BLOCK:
-            self._buf = self._gen.random(self.BLOCK)
+            self._next_block()
             pos = 0
         self._pos = pos + 1
         return self._buf[pos]
@@ -151,10 +154,28 @@ class RngStream:
         if pos + k > self.BLOCK:
             if k > self.BLOCK:
                 return self._gen.random(k)
-            self._buf = self._gen.random(self.BLOCK)
+            self._next_block()
             pos = 0
         self._pos = pos + k
         return self._buf[pos:pos + k]
+
+    def below(self, k: int, p: float) -> list[int]:
+        """Ascending positions of the uniforms < p among the next k, drawn
+        as ``uniforms(k)`` draws them, from a per-block list of such hits."""
+        pos = self._pos
+        end = pos + k
+        if end > self.BLOCK:  # a new block, or more than a block
+            return np.flatnonzero(self.uniforms(k) < p).tolist()
+        self._pos = end
+        if p != self._hits_p:
+            self._hits_p = p
+            self._hits = np.flatnonzero(self._buf < p).tolist()
+        hits = self._hits
+        lo = bisect_left(hits, pos)
+        hi = bisect_left(hits, end, lo)
+        if hi - lo < 2:  # mostly: at n bits and p = 1/n, 74% of windows
+            return [hits[lo] - pos] if lo < hi else []
+        return [h - pos for h in hits[lo:hi]]
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +205,15 @@ class Individual:
         return Fitness(self.cost, self.lp2)
 
     @property
-    def is_cover(self) -> bool:
-        return self.lp2 == 0
-
-    @property
     def incident(self) -> np.ndarray:
         """Vertices touching an uncovered edge, computed on each access."""
         return uncovered_incidence(self.graph, self.bits)
+
+    def focused_pvec(self) -> np.ndarray:
+        """Flip probabilities of the focused mutation branch, made on first use."""
+        if self._alt_pvec is None:
+            self._alt_pvec = _focused_pvec(self.graph, self.bits)
+        return self._alt_pvec
 
     def __repr__(self) -> str:  # debugging aid
         return f"Individual(cost={self.cost}, lp2={self.lp2}, ones={self.ones})"
@@ -218,10 +241,11 @@ class Evaluator:
     shared across sequential runs on the same graph; concurrent runs must
     use separate Evaluator instances.
 
-    A child evaluated with its parent and the positions it flipped gets its
-    cost, ones count and number of uncovered edges from the parent's, by a
-    walk over the flipped vertices' neighbours; genotypes evaluated without
-    a parent are computed whole. No uncovered edge means a cover, and no LP.
+    A child evaluated with its parent and the positions it flipped is keyed
+    by toggling the parent's key; on a miss it gets its cost, ones count and
+    number of uncovered edges from the parent's, by a walk over the flipped
+    vertices' neighbours. Genotypes evaluated without a parent are computed
+    whole. No uncovered edge means a cover, and no LP.
 
     LP values come from one ``DoubleCover`` flow per graph, created when
     first needed. A child is solved from its parent's maximum flow when the
@@ -240,9 +264,6 @@ class Evaluator:
 
     def __init__(self, g: WeightedGraph):
         self.graph = g
-        self._w = g._w64
-        self._eu = g._edge_u
-        self._ev = g._edge_v
         self._cache: dict[bytes, Individual] = {}
         self._bounded: dict[bytes, Individual] = {}  # lp2 a lower bound only
         self._cover: DoubleCover | None = None
@@ -252,7 +273,7 @@ class Evaluator:
     def __len__(self) -> int:
         return len(self._cache) + len(self._bounded)
 
-    def evaluate(self, bits: np.ndarray, parent: Individual | None = None,
+    def evaluate(self, bits: np.ndarray | None, parent: Individual | None = None,
                  threshold: Callable[[int, int], int | None] | None = None,
                  flips: list[int] | None = None) -> Individual:
         """Objectives of ``bits``; ``parent`` names the genotype it was mutated
@@ -263,11 +284,18 @@ class Evaluator:
         may be a lower bound that is at least that threshold (and at least
         1, so it never reads as a cover); without it, lp2 is exact.
 
-        ``flips`` lists the positions where ``bits`` differs from
-        ``parent.bits``. With a parent and ``flips``, ``bits`` is stored as
-        given, not copied, and must not be mutated afterwards.
+        ``flips`` lists the positions where the genotype differs from
+        ``parent.bits``. With a parent and ``flips``, ``bits`` may be None:
+        the array is then made on a memo miss only, read-only on the key's
+        bytes. A given ``bits`` is stored, not copied: do not mutate it.
         """
-        key = bits.tobytes()
+        if bits is None:
+            key = bytearray(parent.key)
+            for v in flips:
+                key[v] ^= 1
+            key = bytes(key)
+        else:
+            key = bits.tobytes()
         ind = self._cache.get(key)
         if ind is not None:
             return ind
@@ -284,17 +312,18 @@ class Evaluator:
         if parent is None or flips is None:
             bits = np.array(bits, dtype=np.uint8)  # own the stored copy
             sel = flips = None
-            cost = int(self._w @ bits)
+            g = self.graph
+            cost = int(g._w64 @ bits)
             ones = int(bits.sum())
-            uncovered = 0
-            if self._eu.size:
-                on = bits.view(np.bool_)
-                uncovered = int(np.count_nonzero(~(on[self._eu] | on[self._ev])))
+            on = bits.view(np.bool_)
+            uncovered = int(np.count_nonzero(~(on[g._edge_u] | on[g._edge_v])))
         else:
+            if bits is None:
+                bits = np.frombuffer(key, np.uint8)
             cover = self._network()
             nbrs, w = cover._out, cover._w
             cost, ones, uncovered = parent.cost, parent.ones, parent.uncovered
-            sel = parent.bits.tolist()
+            sel = list(parent.key)
             # one flip at a time, each against the selection left by the
             # ones before it, so an edge flipped at both ends counts once
             for v in flips:
@@ -365,11 +394,24 @@ class Evaluator:
 # Mutation operators
 # ---------------------------------------------------------------------------
 
+def _focused_pvec(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
+    return np.where(uncovered_incidence(g, bits), 0.5, 1.0 / g.n)
+
+
+def _flip_positions(rng: RngStream, n: int,
+                    focused: Callable[[], np.ndarray] | None = None) -> list[int]:
+    """Ascending positions to flip, each with probability 1/n; or, given
+    ``focused`` and if a fair coin picks it, with those in ``focused()``."""
+    if focused is not None and rng.uniform() < 0.5:
+        return (rng.uniforms(n) < focused()).nonzero()[0].tolist()
+    return rng.below(n, 1.0 / n)
+
+
 def standard_mutation(x: Sequence[int] | np.ndarray, rng: RngStream) -> np.ndarray:
     """Flip each bit independently with probability 1/n."""
-    bits = np.asarray(x, dtype=np.uint8)
-    flips = rng.uniforms(bits.size) < (1.0 / bits.size)
-    return bits ^ flips.view(np.uint8)
+    bits = np.array(x, dtype=np.uint8)
+    bits[_flip_positions(rng, bits.size)] ^= 1
+    return bits
 
 
 def alternative_mutation(g: WeightedGraph, x: Sequence[int] | np.ndarray,
@@ -381,14 +423,9 @@ def alternative_mutation(g: WeightedGraph, x: Sequence[int] | np.ndarray,
     1/2 and all others with probability 1/n. Selected vertices have no
     uncovered edges, so they always fall in the 1/n class.
     """
-    bits = as_genotype(x, g.n)
-    n = g.n
-    if rng.uniform() < 0.5:
-        pvec = np.where(uncovered_incidence(g, bits), 0.5, 1.0 / n)
-        flips = rng.uniforms(n) < pvec
-    else:
-        flips = rng.uniforms(n) < (1.0 / n)
-    return bits ^ flips.view(np.uint8)
+    bits = as_genotype(x, g.n).copy()
+    bits[_flip_positions(rng, g.n, lambda: _focused_pvec(g, bits))] ^= 1
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +561,8 @@ class DpbeaArchive:
             if self.max_group_size < 1:
                 self.max_group_size = 1
             return True
-        if any(y is cand for y in grp):
-            return False  # proposing an existing member leaves the group as is
+        if cand in grp:  # (by identity) a member proposed again leaves it as is
+            return False
         pool = grp + [cand]
         min1 = min2 = pool[0]
         k1 = 2 * min1.cost + min1.lp2
@@ -538,11 +575,13 @@ class DpbeaArchive:
             if b < k2:
                 min2, k2 = y, b
         new_grp = [min1] if min2 is min1 else [min1, min2]
+        if new_grp[0] is grp[0] and new_grp[-1] is grp[-1]:
+            return False  # the candidate lost and the group is as it was
         groups[cand.ones] = new_grp
         if len(new_grp) > self.max_group_size:
             self.max_group_size = len(new_grp)
         self._rebuild()
-        return any(y is cand for y in new_grp)
+        return cand in new_grp
 
 
 def make_archive(algorithm: str, n: int):
@@ -653,8 +692,6 @@ def run(algorithm: str,
     archive = make_archive(algorithm, n)
     threshold = archive.threshold
     use_alt = algorithm in ("gsemo-alt", "dpbea")
-    inv_n = 1.0 / n
-    std_pvec = np.full(n, inv_n)
 
     opt = termination.opt
     ratio = termination.target_ratio
@@ -701,21 +738,8 @@ def run(algorithm: str,
         it += 1
         members = archive.members
         parent = members[int(rng.uniform() * len(members))]
-        if use_alt and rng.uniform() < 0.5:
-            pvec = parent._alt_pvec
-            if pvec is None:
-                pvec = np.where(parent.incident, 0.5, inv_n)
-                parent._alt_pvec = pvec
-        else:
-            pvec = std_pvec
-        flips = rng.uniforms(n) < pvec
-        flipped = flips.nonzero()[0].tolist()
-        if flipped:
-            # a fresh array, never touched again here: the Evaluator may keep it
-            cand = ev.evaluate(parent.bits ^ flips.view(np.uint8), parent, threshold,
-                               flipped)
-        else:
-            cand = parent
+        flips = _flip_positions(rng, n, parent.focused_pvec if use_alt else None)
+        cand = ev.evaluate(None, parent, threshold, flips) if flips else parent
         # a candidate whose lp2 is only a bound is rejected, but still
         # inserted: a dpbea group may shrink on a rejected insert
         accepted = archive.insert(cand)

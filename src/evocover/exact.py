@@ -30,14 +30,6 @@ class ExactResult:
     witness: tuple[int, ...]
 
 
-def _lex_key(bits: tuple[int, ...]) -> int:
-    # bits[0] most significant, so integer order == lexicographic order
-    key = 0
-    for b in bits:
-        key = (key << 1) | b
-    return key
-
-
 def opt_exhaustive(g: WeightedGraph) -> ExactResult:
     """Scan all 2^n selections; n <= 16."""
     n = g.n
@@ -76,7 +68,6 @@ def opt_branch_bound(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP) -> Exac
             f"branch and bound limited to n <= {BRANCH_BOUND_LIMIT}, got {n}")
     weights = g.weights
     best_cost: int | None = None
-    best_key = 0
     best_bits: tuple[int, ...] = ()
     nodes = 0
 
@@ -86,16 +77,16 @@ def opt_branch_bound(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP) -> Exac
         adj0[v].add(u)
 
     def search(adj: list[set[int]], chosen: list[int], acc: int) -> None:
-        nonlocal best_cost, best_key, best_bits, nodes
+        nonlocal best_cost, best_bits, nodes
         nodes += 1
         if nodes > node_cap:
             raise SearchBudgetExceeded(
                 f"node budget {node_cap} exhausted (n={n}, m={g.m})")
         edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
         if not edges:
-            key = _lex_key(tuple(chosen))
-            if best_cost is None or acc < best_cost or (acc == best_cost and key < best_key):
-                best_cost, best_key, best_bits = acc, key, tuple(chosen)
+            bits = tuple(chosen)  # all of length n: tuple order is lexicographic
+            if best_cost is None or acc < best_cost or (acc == best_cost and bits < best_bits):
+                best_cost, best_bits = acc, bits
             return
         lp = solve_cover_lp(n, edges, weights)
         bound = acc + (lp.value2 + 1) // 2

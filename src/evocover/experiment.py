@@ -115,10 +115,11 @@ def run_trial(g: WeightedGraph, algorithm: str, seed: int, termination: Terminat
     return trial_record(trace, termination.opt), trace
 
 
-def _trial_batch(args) -> list[tuple[TrialRecord, int]]:
+def _trial_batch(args, out=None) -> list[tuple[TrialRecord, int]]:
+    """(record, bound violations) of each seed's trial, appended to ``out``."""
     g, algorithm, seeds, termination, check_bounds = args
     ev = Evaluator(g)
-    out = []
+    out = [] if out is None else out
     for seed in seeds:
         rec, trace = run_trial(g, algorithm, seed, termination,
                                check_bounds=check_bounds, evaluator=ev)
@@ -185,12 +186,8 @@ def run_experiment(g: WeightedGraph, cfg: ExperimentConfig) -> ExperimentResult:
                     if f.done() and not f.cancelled() and f.exception() is None:
                         pairs.extend(f.result())
     else:
-        ev = Evaluator(g)
         try:
-            for seed in seeds:
-                rec, trace = run_trial(g, cfg.algorithm, seed, termination,
-                                       check_bounds=cfg.check_bounds, evaluator=ev)
-                pairs.append((rec, trace.bound_violations))
+            _trial_batch((g, cfg.algorithm, seeds, termination, cfg.check_bounds), pairs)
         except KeyboardInterrupt:
             interrupted = True  # keep the finished trials, flush partial results
     pairs.sort(key=lambda p: p[0].seed)
@@ -238,23 +235,20 @@ def expected_time_reference(algorithm: str, n: int, w_max: int, opt: int | None,
             "expression": "OPT*n*(log2(Wmax)+log2(n))",
             "value": opt * n * (log_w + log_n),
         }
-    if algorithm == "gsemo-alt":
-        if opt is None or epsilon is None:
-            return None
-        exp = min(n, 2 * (1 - float(epsilon)) * opt)
-        return {
-            "expression": "OPT*2^min(n,2(1-eps)OPT)+OPT*n*(log2(Wmax)+log2(n)+OPT)",
-            "value": opt * 2.0 ** exp + opt * n * (log_w + log_n + opt),
-        }
     if algorithm == "demo":
         return {
             "expression": "n^3*(log2(n)+log2(Wmax))^2",
             "value": n ** 3 * (log_n + log_w) ** 2,
         }
+    if opt is None or epsilon is None:
+        return None
+    exp = min(n, 2 * (1 - float(epsilon)) * opt)
+    if algorithm == "gsemo-alt":
+        return {
+            "expression": "OPT*2^min(n,2(1-eps)OPT)+OPT*n*(log2(Wmax)+log2(n)+OPT)",
+            "value": opt * 2.0 ** exp + opt * n * (log_w + log_n + opt),
+        }
     if algorithm == "dpbea":
-        if opt is None or epsilon is None:
-            return None
-        exp = min(n, 2 * (1 - float(epsilon)) * opt)
         return {
             "expression": "n*2^min(n,2(1-eps)OPT)+n^3",
             "value": n * 2.0 ** exp + n ** 3,
@@ -321,17 +315,7 @@ def records_to_csv(records: Iterable[TrialRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow([
-            _cell(r.seed),
-            _cell(r.iters_to_zero_string),
-            _cell(r.iters_to_cover),
-            _cell(r.iters_to_target),
-            _cell(r.max_archive),
-            _cell(r.best_cost),
-            _cell(r.opt),
-            _cell(r.ratio),
-            _cell(r.censored),
-        ])
+        writer.writerow([_cell(getattr(r, name)) for name in CSV_COLUMNS])
     return buf.getvalue()
 
 

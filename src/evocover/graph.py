@@ -39,10 +39,6 @@ class WeightedGraph:
     def w_max(self) -> int:
         return max(self.weights)
 
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
     @cached_property
     def _w64(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=np.int64)
@@ -194,8 +190,7 @@ def path(n: int, w_max: int = 1, seed: int = 0) -> WeightedGraph:
     """Path on n vertices (n-1 edges)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = _rng(seed)
-    weights = _draw_weights(rng, n, w_max)
+    weights = _draw_weights(_rng(seed), n, w_max)
     return build_graph(n, weights, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -203,8 +198,7 @@ def star(k: int, w_max: int = 1, seed: int = 0) -> WeightedGraph:
     """Star with center 0 and k leaves (n = k + 1)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rng = _rng(seed)
-    weights = _draw_weights(rng, k + 1, w_max)
+    weights = _draw_weights(_rng(seed), k + 1, w_max)
     return build_graph(k + 1, weights, [(0, i) for i in range(1, k + 1)])
 
 
@@ -212,8 +206,7 @@ def complete_bipartite(a: int, b: int, w_max: int = 1, seed: int = 0) -> Weighte
     """K_{a,b}: left part 0..a-1, right part a..a+b-1."""
     if a < 1 or b < 1:
         raise ValueError(f"both sides must be >= 1, got {a}, {b}")
-    rng = _rng(seed)
-    weights = _draw_weights(rng, a + b, w_max)
+    weights = _draw_weights(_rng(seed), a + b, w_max)
     edges = [(i, a + j) for i in range(a) for j in range(b)]
     return build_graph(a + b, weights, edges)
 
@@ -262,43 +255,41 @@ def parse_instance(text: str) -> WeightedGraph:
         try:
             if parts[0] == "p":
                 if n is not None:
-                    raise GraphFormatError(f"line {lineno}: duplicate header")
+                    raise ValueError("duplicate header")
                 if len(parts) != 4 or parts[1] != "wvc":
-                    raise GraphFormatError(f"line {lineno}: expected 'p wvc <n> <m>'")
+                    raise ValueError("expected 'p wvc <n> <m>'")
                 n, m = int(parts[2]), int(parts[3])
             elif parts[0] == "v":
                 if n is None:
-                    raise GraphFormatError(f"line {lineno}: vertex line before header")
+                    raise ValueError("vertex line before header")
                 if len(parts) != 3:
-                    raise GraphFormatError(f"line {lineno}: expected 'v <index> <weight>'")
+                    raise ValueError("expected 'v <index> <weight>'")
                 i, w = int(parts[1]), int(parts[2])
                 if not 0 <= i < n:
-                    raise GraphFormatError(f"line {lineno}: vertex index {i} out of range")
+                    raise ValueError(f"vertex index {i} out of range")
                 if i in weights:
-                    raise GraphFormatError(f"line {lineno}: duplicate weight for vertex {i}")
+                    raise ValueError(f"duplicate weight for vertex {i}")
                 if w < 1:
-                    raise GraphFormatError(f"line {lineno}: weight must be >= 1")
+                    raise ValueError("weight must be >= 1")
                 weights[i] = w
             elif parts[0] == "e":
                 if n is None:
-                    raise GraphFormatError(f"line {lineno}: edge line before header")
+                    raise ValueError("edge line before header")
                 if len(parts) != 3:
-                    raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
+                    raise ValueError("expected 'e <u> <v>'")
                 u, v = int(parts[1]), int(parts[2])
                 if u == v:
-                    raise GraphFormatError(f"line {lineno}: self-loop at {u}")
+                    raise ValueError(f"self-loop at {u}")
                 if not (0 <= u < n and 0 <= v < n):
-                    raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range")
+                    raise ValueError(f"edge ({u}, {v}) out of range")
                 key = (u, v) if u < v else (v, u)
                 if key in seen_edges:
-                    raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+                    raise ValueError(f"duplicate edge ({u}, {v})")
                 seen_edges.add(key)
                 edges.append(key)
             else:
-                raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-        except ValueError as exc:
-            if isinstance(exc, GraphFormatError):
-                raise
+                raise ValueError(f"unknown record {parts[0]!r}")
+        except ValueError as exc:  # every message gets its line number here
             raise GraphFormatError(f"line {lineno}: {exc}") from exc
     if n is None:
         raise GraphFormatError("missing 'p wvc <n> <m>' header")

@@ -90,9 +90,45 @@ def test_rng_stream_range_and_oversize():
     assert (u >= 0).all() and (u < 1).all()
 
 
+def test_rng_below_matches_uniforms_on_a_twin_stream():
+    # below(k, p) consumes the stream as uniforms(k) does, beyond one block
+    # (k = 5000) too. Calls with one p share a block's hit list, so calls
+    # with p follow ones with another p in the same block, and follow
+    # uniform() or uniforms(m) that may have replaced the block (the first
+    # call, below(4096, p), fills the first block exactly).
+    a, b = ec.RngStream(7), ec.RngStream(7)
+    for k, p, m in itertools.product((4096, 1, 12, 100, 5000), (1 / 12, 1 / 100, 0.5),
+                                     (0, 1, 37, 4000, 4096)):
+        for k2, p2 in ((k, p), (12, p), (12, p / 2), (12, p), (1, p)):
+            assert a.below(k2, p2) == np.flatnonzero(b.uniforms(k2) < p2).tolist(), (k2, p2)
+            assert a.uniform() == b.uniform()
+        assert np.array_equal(a.uniforms(m), b.uniforms(m))
+        assert a.uniform() == b.uniform()
+
+
 # ---------------------------------------------------------------------------
 # Mutation operators
 # ---------------------------------------------------------------------------
+
+def test_mutations_draw_as_the_uniform_formulas():
+    # each operator flips exactly the bits a twin stream's uniforms select,
+    # coin first for the alternative one, and leaves its input unchanged
+    g = ec.gnp(12, 0.4, w_max=16, seed=1)
+    n = g.n
+    a, b = ec.RngStream(3), ec.RngStream(3)
+    x = np.zeros(n, dtype=np.uint8)
+    for _ in range(3000):
+        before = x.copy()
+        y = ec.standard_mutation(x, a)
+        assert np.array_equal(y, x ^ (b.uniforms(n) < 1 / n))
+        pvec = 1 / n
+        if b.uniform() < 0.5:
+            pvec = np.where(ec.engine.uncovered_incidence(g, x), 0.5, 1 / n)
+        z = ec.alternative_mutation(g, x, a)
+        assert np.array_equal(z, x ^ (b.uniforms(n) < pvec))
+        assert np.array_equal(x, before)
+        x = z
+
 
 def test_standard_mutation_n1_is_complement():
     rng = ec.RngStream(0)
@@ -355,6 +391,9 @@ class ScriptedRng:
     def uniforms(self, k):
         return np.array([self.values.pop(0) for _ in range(k)])
 
+    def below(self, k, p):  # the plain mutation branch draws through this
+        return np.flatnonzero(self.uniforms(k) < p).tolist()
+
 
 def test_gsemo_loop_structure(monkeypatch):
     # one iteration = parent draw, then n flip draws; initialization draws n
@@ -542,9 +581,7 @@ def flip_walks(draw):
     return g, steps
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(flip_walks())
-def test_delta_evaluation_matches_full_evaluation(walk):
+def _check_flip_walk(walk, key_first):
     # parents are also picked among covers and genotypes never retained,
     # whose children are solved from another genotype's flow
     g, steps = walk
@@ -560,10 +597,16 @@ def test_delta_evaluation_matches_full_evaluation(walk):
         flips = sorted(flips)
         bits = parent.bits.copy()
         bits[flips] ^= 1
-        child = ev.evaluate(bits, parent, lambda cost, ones: limit, flips)
+        child = ev.evaluate(None if key_first else bits, parent,
+                            lambda cost, ones: limit, flips)
         made_by.setdefault(child.key, flips)
         full = ec.Evaluator(g).evaluate(child.bits)
-        assert child.key == full.key == bits.tobytes()
+        assert child.key == full.key == bits.tobytes() == child.bits.tobytes()
+        if key_first and child not in inds[:2]:
+            # the array shares the key's bytes: it must not be writable
+            assert not child.bits.flags.writeable
+            with pytest.raises(ValueError):
+                child.bits[0] ^= 1
         assert (child.cost, child.ones) == (full.cost, full.ones)
         assert child.uncovered == full.uncovered == ec.residual(g, bits).num_edges
         assert np.array_equal(child.incident, full.incident)
@@ -575,6 +618,20 @@ def test_delta_evaluation_matches_full_evaluation(walk):
         if keep and child.key in ev._cache:
             archive = [m for m in archive if m.key != child.key][-3:] + [child]
             ev.retain(child, archive)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flip_walks())
+def test_delta_evaluation_matches_full_evaluation(walk):
+    _check_flip_walk(walk, key_first=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flip_walks())
+def test_key_first_evaluation_matches_full_evaluation(walk):
+    # children given only as (parent, flips) are looked up by a key made
+    # from the parent's, and get an array only on a memo miss
+    _check_flip_walk(walk, key_first=True)
 
 
 def test_residual_states_stay_within_the_archive():
@@ -796,6 +853,21 @@ def test_dpbea_archive_invariants_every_iteration():
     tr = ec.run("dpbea", g, 8, ec.Termination(budget=3000), callback=check,
                 check_bounds=True)
     assert tr.bound_violations == 0
+
+
+def test_dpbea_members_match_a_rebuild_from_the_groups():
+    # insert skips the rebuild when a rejected candidate leaves its group
+    # as it was; members must still list every group, in order of ones
+    # count. gnp(24, 0.25) seed 2 has groups that collapse on a rejection.
+    for g, seed in ((ec.gnp(12, 0.4, w_max=16, seed=1), 3),
+                    (ec.gnp(24, 0.25, w_max=16, seed=2), 1)):
+        def check(it, cand, accepted, archive):
+            groups = archive._groups
+            rebuilt = [m for k in sorted(groups) for m in groups[k]]
+            assert len(archive.members) == len(rebuilt), (g.n, it)
+            assert all(m is r for m, r in zip(archive.members, rebuilt)), (g.n, it)
+
+        ec.run("dpbea", g, seed, ec.Termination(budget=3000), callback=check)
 
 
 def test_zero_string_never_leaves_archive():
