@@ -240,10 +240,17 @@ def cmd_experiment(args) -> int:
     g = load_instance(args.instance)
     target = _resolve_target(args)
     cfg = expmod.ExperimentConfig(
-        algorithm=args.algo, trials=args.trials, seed_base=args.seed, budget=args.budget,
-        target_ratio=target, epsilon=args.epsilon, opt=args.opt,
-        check_bounds=args.check_bounds, until_zero_string=args.until_zero_string,
-        workers=args.workers)
+        algorithm=args.algo,
+        trials=args.trials,
+        seed_base=args.seed,
+        budget=args.budget,
+        target_ratio=target,
+        epsilon=args.epsilon,
+        opt=args.opt,
+        check_bounds=args.check_bounds,
+        until_zero_string=args.until_zero_string,
+        workers=args.workers,
+    )
     result = expmod.run_experiment(g, cfg)
     expmod.write_records_csv(result.records, args.out)
     sys.stdout.write(expmod.summary_json(result.summary))

@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .graph import WeightedGraph, as_genotype
-# for bench/tracing.py, which wraps engine.solve_cover_lp
+# solve_cover_lp is unused here but stays importable: the benchmark's tracer
+# (bench/tracing.py) wraps engine.solve_cover_lp by name.
 from .lp import DoubleCover, solve_cover_lp  # noqa: F401
 
 ALGORITHMS = ("gsemo", "gsemo-alt", "demo", "dpbea")
@@ -173,7 +174,7 @@ class RngStream:
         hits = self._hits
         lo = bisect_left(hits, pos)
         hi = bisect_left(hits, end, lo)
-        if hi - lo < 2:  # mostly: at n bits and p = 1/n, 74% of windows
+        if hi - lo < 2:  # at n bits and p = 1/n, about 2/e of the windows
             return [hits[lo] - pos] if lo < hi else []
         return [h - pos for h in hits[lo:hi]]
 
@@ -225,12 +226,15 @@ def uncovered_incidence(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
     Selected vertices cover all their edges, so they are never in the mask.
     """
     incident = np.zeros(g.n, dtype=bool)
-    if g.edges:
-        sel = bits.view(np.bool_)
-        unc = ~(sel[g._edge_u] | sel[g._edge_v])
-        incident[g._edge_u[unc]] = True
-        incident[g._edge_v[unc]] = True
+    incident[_uncovered_ends(g, bits)] = True
     return incident
+
+
+def _uncovered_ends(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
+    # both ends of each edge that bits leaves uncovered, from one gather per side
+    tails, heads = g._arcs
+    sel = bits.view(np.bool_)
+    return tails[~(sel[tails] | sel[heads])]
 
 
 class Evaluator:
@@ -244,7 +248,7 @@ class Evaluator:
     A child evaluated with its parent and the positions it flipped is keyed
     by toggling the parent's key; on a miss it gets its cost, ones count and
     number of uncovered edges from the parent's, by a walk over the flipped
-    vertices' neighbours. Genotypes evaluated without a parent are computed
+    vertices' neighbours. Genotypes evaluated without flips are computed
     whole. No uncovered edge means a cover, and no LP.
 
     LP values come from one ``DoubleCover`` flow per graph, created when
@@ -284,18 +288,17 @@ class Evaluator:
         may be a lower bound that is at least that threshold (and at least
         1, so it never reads as a cover); without it, lp2 is exact.
 
-        ``flips`` lists the positions where the genotype differs from
-        ``parent.bits``. With a parent and ``flips``, ``bits`` may be None:
-        the array is then made on a memo miss only, read-only on the key's
-        bytes. A given ``bits`` is stored, not copied: do not mutate it.
+        Given ``flips``, the positions where the child differs from
+        ``parent.bits``, ``bits`` is ignored (pass None): the child's array
+        is made on a memo miss only, read-only on the key's bytes.
         """
-        if bits is None:
+        if flips is None:
+            key = bits.tobytes()
+        else:
             key = bytearray(parent.key)
             for v in flips:
-                key[v] ^= 1
+                key[v] = 1 - key[v]  # bytes are 0 or 1
             key = bytes(key)
-        else:
-            key = bits.tobytes()
         ind = self._cache.get(key)
         if ind is not None:
             return ind
@@ -309,17 +312,14 @@ class Evaluator:
             ind.box = None
             self._cache[key] = ind
             return ind
-        if parent is None or flips is None:
+        if flips is None:
             bits = np.array(bits, dtype=np.uint8)  # own the stored copy
-            sel = flips = None
-            g = self.graph
-            cost = int(g._w64 @ bits)
+            sel = None
+            cost = int(self.graph._w64 @ bits)
             ones = int(bits.sum())
-            on = bits.view(np.bool_)
-            uncovered = int(np.count_nonzero(~(on[g._edge_u] | on[g._edge_v])))
+            uncovered = _uncovered_ends(self.graph, bits).size // 2
         else:
-            if bits is None:
-                bits = np.frombuffer(key, np.uint8)
+            bits = np.frombuffer(key, np.uint8)
             cover = self._network()
             nbrs, w = cover._out, cover._w
             cost, ones, uncovered = parent.cost, parent.ones, parent.uncovered
@@ -395,7 +395,9 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 
 def _focused_pvec(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
-    return np.where(uncovered_incidence(g, bits), 0.5, 1.0 / g.n)
+    pvec = np.full(g.n, 1.0 / g.n)
+    pvec[_uncovered_ends(g, bits)] = 0.5
+    return pvec
 
 
 def _flip_positions(rng: RngStream, n: int,

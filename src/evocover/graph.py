@@ -44,12 +44,10 @@ class WeightedGraph:
         return np.asarray(self.weights, dtype=np.int64)
 
     @cached_property
-    def _edge_u(self) -> np.ndarray:
-        return np.asarray([e[0] for e in self.edges], dtype=np.intp)
-
-    @cached_property
-    def _edge_v(self) -> np.ndarray:
-        return np.asarray([e[1] for e in self.edges], dtype=np.intp)
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads) of every edge in both directions."""
+        u, v = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2).T
+        return np.concatenate((u, v)), np.concatenate((v, u))
 
 
 @dataclass(frozen=True)
@@ -137,11 +135,9 @@ def cost(g: WeightedGraph, x: Sequence[int] | np.ndarray) -> int:
 
 def is_cover(g: WeightedGraph, x: Sequence[int] | np.ndarray) -> bool:
     """True iff every edge has a selected endpoint."""
-    bits = as_genotype(x, g.n)
-    if not g.edges:
-        return True
-    sel = bits.view(np.bool_)
-    return bool((sel[g._edge_u] | sel[g._edge_v]).all())
+    sel = as_genotype(x, g.n).view(np.bool_)
+    tails, heads = g._arcs
+    return bool((sel[tails] | sel[heads]).all())
 
 
 def residual(g: WeightedGraph, x: Sequence[int] | np.ndarray) -> ResidualGraph:
@@ -190,7 +186,8 @@ def path(n: int, w_max: int = 1, seed: int = 0) -> WeightedGraph:
     """Path on n vertices (n-1 edges)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    weights = _draw_weights(_rng(seed), n, w_max)
+    rng = _rng(seed)
+    weights = _draw_weights(rng, n, w_max)
     return build_graph(n, weights, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -198,7 +195,8 @@ def star(k: int, w_max: int = 1, seed: int = 0) -> WeightedGraph:
     """Star with center 0 and k leaves (n = k + 1)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    weights = _draw_weights(_rng(seed), k + 1, w_max)
+    rng = _rng(seed)
+    weights = _draw_weights(rng, k + 1, w_max)
     return build_graph(k + 1, weights, [(0, i) for i in range(1, k + 1)])
 
 
@@ -206,7 +204,8 @@ def complete_bipartite(a: int, b: int, w_max: int = 1, seed: int = 0) -> Weighte
     """K_{a,b}: left part 0..a-1, right part a..a+b-1."""
     if a < 1 or b < 1:
         raise ValueError(f"both sides must be >= 1, got {a}, {b}")
-    weights = _draw_weights(_rng(seed), a + b, w_max)
+    rng = _rng(seed)
+    weights = _draw_weights(rng, a + b, w_max)
     edges = [(i, a + j) for i in range(a) for j in range(b)]
     return build_graph(a + b, weights, edges)
 

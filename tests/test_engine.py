@@ -581,9 +581,13 @@ def flip_walks(draw):
     return g, steps
 
 
-def _check_flip_walk(walk, key_first):
-    # parents are also picked among covers and genotypes never retained,
-    # whose children are solved from another genotype's flow
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flip_walks())
+def test_delta_evaluation_matches_full_evaluation(walk):
+    # children given only as (parent, flips) are looked up by a key made
+    # from the parent's, and get an array only on a memo miss; parents are
+    # also picked among covers and genotypes never retained, whose children
+    # are solved from another genotype's flow
     g, steps = walk
     ev = ec.Evaluator(g)
     inds = [ev.evaluate(np.zeros(g.n, np.uint8)), ev.evaluate(np.ones(g.n, np.uint8))]
@@ -597,12 +601,11 @@ def _check_flip_walk(walk, key_first):
         flips = sorted(flips)
         bits = parent.bits.copy()
         bits[flips] ^= 1
-        child = ev.evaluate(None if key_first else bits, parent,
-                            lambda cost, ones: limit, flips)
+        child = ev.evaluate(None, parent, lambda cost, ones: limit, flips)
         made_by.setdefault(child.key, flips)
         full = ec.Evaluator(g).evaluate(child.bits)
         assert child.key == full.key == bits.tobytes() == child.bits.tobytes()
-        if key_first and child not in inds[:2]:
+        if child not in inds[:2]:
             # the array shares the key's bytes: it must not be writable
             assert not child.bits.flags.writeable
             with pytest.raises(ValueError):
@@ -619,19 +622,6 @@ def _check_flip_walk(walk, key_first):
             archive = [m for m in archive if m.key != child.key][-3:] + [child]
             ev.retain(child, archive)
 
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(flip_walks())
-def test_delta_evaluation_matches_full_evaluation(walk):
-    _check_flip_walk(walk, key_first=False)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(flip_walks())
-def test_key_first_evaluation_matches_full_evaluation(walk):
-    # children given only as (parent, flips) are looked up by a key made
-    # from the parent's, and get an array only on a memo miss
-    _check_flip_walk(walk, key_first=True)
 
 
 def test_residual_states_stay_within_the_archive():
