@@ -245,18 +245,19 @@ class Evaluator:
     shared across sequential runs on the same graph; concurrent runs must
     use separate Evaluator instances.
 
-    A child evaluated with its parent and the positions it flipped is keyed
-    by toggling the parent's key; on a miss it gets its cost, ones count and
-    number of uncovered edges from the parent's, by a walk over the flipped
-    vertices' neighbours. Genotypes evaluated without flips are computed
-    whole. No uncovered edge means a cover, and no LP.
+    A child is evaluated from its parent and the positions it flipped: it
+    is keyed by toggling the parent's key, and on a miss it gets its cost,
+    ones count and number of uncovered edges from the parent's, by a walk
+    over the flipped vertices' neighbours. A whole genotype is its flips
+    from 0^n. No uncovered edge means a cover, and no LP.
 
     LP values come from one ``DoubleCover`` flow per graph, created when
     first needed. A child is solved from its parent's maximum flow when the
-    parent's residual state is stored, else from the last flow solved; from
-    the parent's flow, the flipped positions are the edits to make. States
-    are stored only for archive members (see ``retain``), so they take
-    memory in proportion to the archive, not to the cache.
+    parent's residual state is stored, with the flipped positions as the
+    edits; else from the last flow solved, with the positions where the two
+    keys differ. States are stored only for archive members (see
+    ``retain``), so they take memory in proportion to the archive, not to
+    the cache.
 
     A solve given the archive's ``threshold`` stops once the flow reaches
     it, where the archive is sure to reject the candidate. Such a candidate's
@@ -271,8 +272,10 @@ class Evaluator:
         self._cache: dict[bytes, Individual] = {}
         self._bounded: dict[bytes, Individual] = {}  # lp2 a lower bound only
         self._cover: DoubleCover | None = None
-        self._solved: bytes | None = None  # key of the network's current flow
+        self._solved = bytes(g.n)  # key of the network's current flow
         self._states: dict[bytes, tuple] = {}  # key -> DoubleCover state
+        # the parent of whole genotypes: never cached or solved, so no lp2
+        self._zero = Individual(None, self._solved, 0, None, 0, g.m, g)
 
     def __len__(self) -> int:
         return len(self._cache) + len(self._bounded)
@@ -280,25 +283,23 @@ class Evaluator:
     def evaluate(self, bits: np.ndarray | None, parent: Individual | None = None,
                  threshold: Callable[[int, int], int | None] | None = None,
                  flips: list[int] | None = None) -> Individual:
-        """Objectives of ``bits``; ``parent`` names the genotype it was mutated
-        from, whose stored flow the LP solve then starts from.
+        """Objectives of the child of ``parent`` that differs from it at the
+        distinct positions ``flips``; ``bits`` is then ignored (pass None).
+        Without ``flips``, the objectives of the whole genotype ``bits``,
+        whose parent is 0^n. The child's array is made on a memo miss only,
+        read-only on the key's bytes.
 
         ``threshold(cost, ones)`` is the archive's smallest lp2 at which it
         is sure to reject the candidate, or None. With it, the returned lp2
         may be a lower bound that is at least that threshold (and at least
         1, so it never reads as a cover); without it, lp2 is exact.
-
-        Given ``flips``, the positions where the child differs from
-        ``parent.bits``, ``bits`` is ignored (pass None): the child's array
-        is made on a memo miss only, read-only on the key's bytes.
         """
         if flips is None:
-            key = bits.tobytes()
-        else:
-            key = bytearray(parent.key)
-            for v in flips:
-                key[v] = 1 - key[v]  # bytes are 0 or 1
-            key = bytes(key)
+            parent, flips = self._zero, np.flatnonzero(bits).tolist()
+        key = bytearray(parent.key)
+        for v in flips:
+            key[v] = 1 - key[v]  # bytes are 0 or 1
+        key = bytes(key)
         ind = self._cache.get(key)
         if ind is not None:
             return ind
@@ -308,39 +309,33 @@ class Evaluator:
             if limit is not None and ind.lp2 >= limit:
                 return ind
             del self._bounded[key]
-            ind.lp2 = self._solve(key, ind.bits, parent, None)
+            ind.lp2 = self._solve(key, list(key), parent, flips, None)
             ind.box = None
             self._cache[key] = ind
             return ind
-        if flips is None:
-            bits = np.array(bits, dtype=np.uint8)  # own the stored copy
-            sel = None
-            cost = int(self.graph._w64 @ bits)
-            ones = int(bits.sum())
-            uncovered = _uncovered_ends(self.graph, bits).size // 2
-        else:
-            bits = np.frombuffer(key, np.uint8)
-            cover = self._network()
-            nbrs, w = cover._out, cover._w
-            cost, ones, uncovered = parent.cost, parent.ones, parent.uncovered
-            sel = list(parent.key)
-            # one flip at a time, each against the selection left by the
-            # ones before it, so an edge flipped at both ends counts once
-            for v in flips:
-                free = 0  # edges from v to unselected vertices
-                for _, y in nbrs[v]:
-                    if not sel[y]:
-                        free += 1
-                if sel[v]:
-                    sel[v] = 0
-                    cost -= w[v]
-                    ones -= 1
-                    uncovered += free
-                else:
-                    sel[v] = 1
-                    cost += w[v]
-                    ones += 1
-                    uncovered -= free
+        cover = self._cover
+        if cover is None:
+            cover = self._cover = DoubleCover(self.graph)
+        nbrs, w = cover._out, cover._w
+        cost, ones, uncovered = parent.cost, parent.ones, parent.uncovered
+        sel = list(parent.key)
+        # one flip at a time, each against the selection left by the
+        # ones before it, so an edge flipped at both ends counts once
+        for v in flips:
+            free = 0  # edges from v to unselected vertices
+            for _, y in nbrs[v]:
+                if not sel[y]:
+                    free += 1
+            if sel[v]:
+                sel[v] = 0
+                cost -= w[v]
+                ones -= 1
+                uncovered += free
+            else:
+                sel[v] = 1
+                cost += w[v]
+                ones += 1
+                uncovered -= free
         lp2 = 0
         limit = None
         if uncovered:
@@ -350,32 +345,27 @@ class Evaluator:
                     # some edge is uncovered, so lp2 >= 2: a value
                     # stopped at 1 or more never reads as a cover
                     limit = max(limit, 1)
-            lp2 = self._solve(key, bits, parent, limit, flips, sel)
-        ind = Individual(bits, key, cost, lp2, ones, uncovered, self.graph)
+            lp2 = self._solve(key, sel, parent, flips, limit)
+        ind = Individual(np.frombuffer(key, np.uint8), key, cost, lp2, ones, uncovered,
+                         self.graph)
         if limit is not None and lp2 >= limit:
             self._bounded[key] = ind
         else:
             self._cache[key] = ind
         return ind
 
-    def _network(self) -> DoubleCover:
-        cover = self._cover
-        if cover is None:
-            cover = self._cover = DoubleCover(self.graph)
-        return cover
-
-    def _solve(self, key: bytes, bits: np.ndarray, parent: Individual | None,
-               limit: int | None, flips: list[int] | None = None,
-               sel: list[int] | None = None) -> int:
-        cover = self._network()
-        if parent is not None and parent.key != self._solved:
+    def _solve(self, key: bytes, sel: list[int], parent: Individual, flips: list[int],
+               limit: int | None) -> int:
+        cover = self._cover  # made by the evaluation that asks for this solve
+        solved = self._solved
+        if parent.key != solved:
             state = self._states.get(parent.key)
-            if state is None:
-                flips = None  # the flow is another genotype's: diff the selections
+            if state is None:  # the flow is another genotype's: diff the keys
+                flips = [v for v, (a, b) in enumerate(zip(solved, key)) if a != b]
             else:
                 cover.load(state)
         self._solved = key
-        return cover.solve(bits, limit, flips, sel)
+        return cover.solve(sel, flips, limit)
 
     def retain(self, ind: Individual, members: list[Individual]) -> None:
         """Report that ``ind`` entered the archive, now ``members``.
@@ -705,7 +695,8 @@ def run(algorithm: str,
     until_zero = termination.until_zero_string
 
     gsemo_cap = (2 * opt + 1) if opt is not None else None
-    demo_cap = demo_archive_capacity(n, g.w_max) if algorithm == "demo" else None
+    demo_cap = (demo_archive_capacity(n, g.w_max)
+                if check_bounds and algorithm == "demo" else None)
     dpbea_cap = 2 * (n + 1)
 
     best_cost: int | None = None

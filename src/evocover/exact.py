@@ -1,7 +1,8 @@
 """Exact minimum-weight vertex cover for desk-scale instances.
 
 Two routes with identical contracts: a vectorized scan of all 2^n selections
-(n <= 16) and LP-bounded branch and bound (n <= 32). Ties between optimal
+(n <= 16) and LP-bounded branch and bound (n <= 32), which edits one warm
+``DoubleCover`` flow along its depth-first search. Ties between optimal
 covers break to the lexicographically smallest witness bitstring, and both
 routes honor the same tie-break so their results are comparable verbatim.
 """
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph
-from .lp import InstanceTooLargeError, solve_cover_lp
+# solve_cover_lp is unused here but stays importable: the benchmark's tracer
+# (bench/tracing.py) wraps exact.solve_cover_lp by name.
+from .lp import DoubleCover, InstanceTooLargeError, solve_cover_lp  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 16
 BRANCH_BOUND_LIMIT = 32
@@ -56,11 +59,13 @@ def opt_exhaustive(g: WeightedGraph) -> ExactResult:
 def opt_branch_bound(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP) -> ExactResult:
     """LP-bounded branch and bound; n <= 32.
 
-    Branches on the vertex maximizing weight * uncovered-degree: either it is
-    chosen, or it is excluded and all its uncovered neighbors are forced in.
-    A node is pruned when cost-so-far plus the LP lower bound of the residual
-    strictly exceeds the incumbent, which preserves the exhaustive oracle's
-    lexicographic tie-break among equal-cost optima.
+    Branches on the vertex maximizing weight * unchosen-degree: either it is
+    chosen, or it is excluded and all its unchosen neighbors are chosen.
+    Backtracking unchooses them. A node is pruned when cost-so-far plus the
+    LP lower bound of the residual strictly exceeds the incumbent, which
+    preserves the exhaustive oracle's lexicographic tie-break among
+    equal-cost optima. The bounds come from one ``DoubleCover``, edited at
+    each node from the selection it last solved.
     """
     n = g.n
     if n > BRANCH_BOUND_LIMIT:
@@ -70,48 +75,45 @@ def opt_branch_bound(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP) -> Exac
     best_cost: int | None = None
     best_bits: tuple[int, ...] = ()
     nodes = 0
+    cover = DoubleCover(g)
+    nbrs = [[y for _, y in arcs] for arcs in cover._out]
+    chosen = [0] * n
+    solved = [0] * n  # selection of the cover's current flow
 
-    adj0: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.edges:
-        adj0[u].add(v)
-        adj0[v].add(u)
-
-    def search(adj: list[set[int]], chosen: list[int], acc: int) -> None:
+    def search(acc: int) -> None:
         nonlocal best_cost, best_bits, nodes
         nodes += 1
         if nodes > node_cap:
             raise SearchBudgetExceeded(
                 f"node budget {node_cap} exhausted (n={n}, m={g.m})")
-        edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-        if not edges:
+        v, top = -1, 0
+        for u in range(n):  # the first u of the largest key wins the tie
+            if not chosen[u]:
+                key = weights[u] * sum(1 for y in nbrs[u] if not chosen[y])
+                if key > top:
+                    v, top = u, key
+        if v < 0:  # no edge is left uncovered
             bits = tuple(chosen)  # all of length n: tuple order is lexicographic
             if best_cost is None or acc < best_cost or (acc == best_cost and bits < best_bits):
                 best_cost, best_bits = acc, bits
             return
-        lp = solve_cover_lp(n, edges, weights)
-        bound = acc + (lp.value2 + 1) // 2
+        edits = [u for u in range(n) if chosen[u] != solved[u]]
+        solved[:] = chosen
+        bound = acc + (cover.solve(chosen, edits) + 1) // 2
         if best_cost is not None and bound > best_cost:
             return
-        v = max((u for u in range(n) if adj[u]),
-                key=lambda u: (weights[u] * len(adj[u]), -u))
         # include v
-        adj_in = [s - {v} if v in s else set(s) for s in adj]
-        adj_in[v] = set()
         chosen[v] = 1
-        search(adj_in, chosen, acc + weights[v])
+        search(acc + weights[v])
         chosen[v] = 0
-        # exclude v: every uncovered neighbor is forced into the cover
-        forced = sorted(adj[v])
-        removed = set(forced) | {v}
-        adj_ex = [s - removed if s & removed else set(s) for s in adj]
-        for u in removed:
-            adj_ex[u] = set()
+        # exclude v: every unchosen neighbor is chosen
+        forced = [u for u in nbrs[v] if not chosen[u]]
         for u in forced:
             chosen[u] = 1
-        search(adj_ex, chosen, acc + sum(weights[u] for u in forced))
+        search(acc + sum(weights[u] for u in forced))
         for u in forced:
             chosen[u] = 0
 
-    search(adj0, [0] * n, 0)
+    search(0)
     assert best_cost is not None
     return ExactResult(opt_cost=best_cost, witness=best_bits)

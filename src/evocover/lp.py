@@ -9,8 +9,9 @@ with capacity w(v), v_R -> sink with capacity w(v), and for every edge (u, v)
 the unbounded arcs u_L -> v_R and v_L -> u_R. The max-flow value equals
 2 * LP, and the canonical source-side minimum cut yields a deterministic
 optimal half-integral assignment. ``solve_cover_lp`` solves it cold with
-Dinic, and is the tests' oracle; ``DoubleCover`` solves it warm for the
-Evaluator on a three-list flow instead of a general network.
+Dinic, for ``solve_lp``, ``lp_value2`` and the tests' oracle. ``DoubleCover``
+solves it warm on a three-list flow instead of a general network, for the
+Evaluator and for branch and bound, each of which edits one flow.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import ResidualGraph, WeightedGraph, as_genotype, residual
+from .graph import ResidualGraph, WeightedGraph, residual
 from .maxflow import MaxFlow
 
 BRUTE_FORCE_LIMIT = 14
@@ -91,11 +92,11 @@ class DoubleCover:
     max-flow value does not depend on the starting flow, so the result is
     the cold Dinic solver's (``solve_cover_lp``). A solve given a ``limit``
     may stop early: every flow of the rounds is valid, so its value is a
-    lower bound on 2 * LP.
+    lower bound on 2 * LP. The flow does not keep its selection: the caller
+    owns it, and names what changed at each solve.
     """
 
-    __slots__ = ("bits", "value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head",
-                 "_out", "_in")
+    __slots__ = ("value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head", "_out", "_in")
 
     def __init__(self, g: WeightedGraph):
         n = g.n
@@ -103,7 +104,7 @@ class DoubleCover:
         # edge arc a runs _tail[a]_L -> _head[a]_R; both directions of every edge
         self._tail = [x for u, v in g.edges for x in (u, v)]
         self._head = [y for u, v in g.edges for y in (v, u)]
-        # x -> (a, y); the Evaluator also walks these as the neighbour lists
+        # x -> (a, y); the callers also walk these as the neighbour lists
         self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._in: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # y -> (a, x)
         for a, (x, y) in enumerate(zip(self._tail, self._head)):
@@ -112,26 +113,19 @@ class DoubleCover:
         self._flow = [0] * len(self._tail)
         self._sup = list(self._w)
         self._dem = list(self._w)
-        self.bits = np.zeros(n, dtype=np.uint8)  # selection of the current flow
-        self.value2 = 0  # value of the current flow
+        self.value2 = 0  # value of the current flow, whose selection is 0^n
 
-    def solve(self, bits: np.ndarray, limit: int | None = None,
-              edits: list[int] | None = None, sel: list[int] | None = None) -> int:
-        """2 * LP of the residual graph of ``bits``, augmenting from the current flow.
+    def solve(self, sel: list[int], edits: list[int], limit: int | None = None) -> int:
+        """2 * LP of the residual graph of ``sel``, augmenting from the current flow.
 
-        With a ``limit``, returns as soon as the flow value reaches it: a
-        value below ``limit`` is exact, one at or above it lies between
-        ``limit`` and 2 * LP. ``bits`` is kept as the current selection and
-        must not be mutated. A caller that knows them may pass ``edits``, the
-        positions where ``bits`` differs from the current selection, and
-        ``sel``, ``bits.tolist()``; otherwise both are computed here.
+        ``sel`` is the 0/1 selection and ``edits`` the positions where it
+        differs from the current flow's selection; ``sel`` is read during
+        the call only. With a ``limit``, returns as soon as the flow value
+        reaches it: a value below ``limit`` is exact, one at or above it
+        lies between ``limit`` and 2 * LP.
         """
         flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
         value = self.value2
-        if sel is None:
-            sel = bits.tolist()
-        if edits is None:
-            edits = np.flatnonzero(self.bits != bits).tolist()
         for v in edits:
             if sel[v]:
                 for a, y in self._out[v]:  # paths s -> v_L -> y_R -> t
@@ -148,7 +142,6 @@ class DoubleCover:
                 sup[v] = dem[v] = 0
             else:
                 sup[v] = dem[v] = w[v]
-        self.bits = bits
         need = None if limit is None else limit - value
         if need is not None and need <= 0:  # the cancelled flow reaches the limit
             self.value2 = value
@@ -214,12 +207,13 @@ class DoubleCover:
                     return added
 
     def state(self) -> tuple:
-        """The current selection and flow value, and copies of the flow lists."""
-        return self.bits, self.value2, self._flow[:], self._sup[:], self._dem[:]
+        """The current flow value, and copies of the flow lists."""
+        return self.value2, self._flow[:], self._sup[:], self._dem[:]
 
     def load(self, state: tuple) -> None:
-        """Make a state returned by ``state`` current again."""
-        self.bits, self.value2, flow, sup, dem = state
+        """Make a state returned by ``state`` current again; its selection
+        becomes the current one."""
+        self.value2, flow, sup, dem = state
         self._flow[:] = flow
         self._sup[:] = sup
         self._dem[:] = dem

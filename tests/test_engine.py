@@ -549,9 +549,7 @@ def test_warm_lp_matches_cold_dinic_and_brute_force(walk):
     for pick, from_archive, flips, keep in steps:
         pool = archive if from_archive and archive else inds
         parent = pool[pick % len(pool)]
-        bits = parent.bits.copy()
-        bits[sorted(flips)] ^= 1
-        child = ev.evaluate(bits, parent)
+        child = ev.evaluate(None, parent, None, sorted(flips))
         inds.append(child)
         if keep:
             archive = [m for m in archive if m.key != child.key][-3:] + [child]
@@ -605,18 +603,22 @@ def test_delta_evaluation_matches_full_evaluation(walk):
         made_by.setdefault(child.key, flips)
         full = ec.Evaluator(g).evaluate(child.bits)
         assert child.key == full.key == bits.tobytes() == child.bits.tobytes()
-        if child not in inds[:2]:
-            # the array shares the key's bytes: it must not be writable
-            assert not child.bits.flags.writeable
-            with pytest.raises(ValueError):
-                child.bits[0] ^= 1
+        # the array shares the key's bytes: it must not be writable
+        assert not child.bits.flags.writeable
+        with pytest.raises(ValueError):
+            child.bits[0] ^= 1
         assert (child.cost, child.ones) == (full.cost, full.ones)
+        assert (child.cost, child.ones) == (ec.cost(g, bits), int(bits.sum()))
         assert child.uncovered == full.uncovered == ec.residual(g, bits).num_edges
         assert np.array_equal(child.incident, full.incident)
+        ends = {v for e in ec.residual(g, bits).original_edges() for v in e}
+        assert child.incident.tolist() == [v in ends for v in range(g.n)]
+        exact = ec.lp_value2(g, bits)  # cold Dinic
+        assert full.lp2 == exact
         if child.key in ev._bounded:
-            assert max(limit, 1) <= child.lp2 <= full.lp2
+            assert max(limit, 1) <= child.lp2 <= exact
         else:
-            assert child.lp2 == full.lp2
+            assert child.lp2 == exact
         inds.append(child)
         if keep and child.key in ev._cache:
             archive = [m for m in archive if m.key != child.key][-3:] + [child]
@@ -662,7 +664,7 @@ def test_bounded_candidates_never_enter_the_archive():
             for m in archive.members:
                 assert ev._cache.get(m.key) is m, (algorithm, it)
             for key, state in ev._states.items():
-                assert key in ev._cache and state[1] == ev._cache[key].lp2, (algorithm, it)
+                assert key in ev._cache and state[0] == ev._cache[key].lp2, (algorithm, it)
 
         for seed in seeds:
             ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev,

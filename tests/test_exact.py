@@ -72,3 +72,25 @@ def test_node_budget_reported_distinctly():
     g = ec.gnp(12, 0.6, w_max=4, seed=4242)
     with pytest.raises(ec.SearchBudgetExceeded):
         ec.opt_branch_bound(g, node_cap=2)
+
+
+# gnp(n, p, w_max=16, seed) -> (OPT, witness, smallest node_cap that proves it),
+# pinned beyond the exhaustive oracle's range from the Dinic-bounded search
+BRANCH_BOUND_PINS = {
+    (20, 0.3, 7): (108, "11100111110000111001", 55),
+    (24, 0.25, 2): (101, "011110111100010111111111", 155),
+    (28, 0.2, 5): (105, "0000011111110111101110011100", 253),
+    (30, 0.2, 4): (155, "101100110111000110101001101101", 317),
+    (32, 0.15, 3): (140, "01101110101101111011110101011001", 321),
+}
+
+
+@pytest.mark.parametrize("n, p, seed", sorted(BRANCH_BOUND_PINS))
+def test_branch_bound_pinned_beyond_exhaustive_range(n, p, seed):
+    opt, witness, cap = BRANCH_BOUND_PINS[(n, p, seed)]
+    g = ec.gnp(n, p, w_max=16, seed=seed)
+    res = ec.opt_branch_bound(g, node_cap=cap)
+    assert (res.opt_cost, "".join(map(str, res.witness))) == (opt, witness)
+    assert ec.is_cover(g, res.witness) and ec.cost(g, res.witness) == opt
+    with pytest.raises(ec.SearchBudgetExceeded):
+        ec.opt_branch_bound(g, node_cap=cap - 1)

@@ -212,7 +212,7 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
             cover.load(state)  # possibly a flow stopped at a limit
         bits = bits.copy()
         bits[sorted(flips)] ^= 1
-        value = cover.solve(bits, limit)
+        value = cover.solve(bits.tolist(), sorted(flips), limit)
         exact = ec.lp_value2(g, bits)
         if limit is None or value < limit:
             assert value == exact
@@ -225,4 +225,4 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
     for state, bits, value in reversed(saved):
         cover.load(state)
         assert_flow_state(g, cover, bits)
-        assert cover.solve(bits) == value
+        assert cover.solve(bits.tolist(), []) == value
