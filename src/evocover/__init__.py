@@ -71,6 +71,11 @@ from .lp import (
     solve_lp,
 )
 
+# maxflow is unused by the package but stays importable: it is the tests'
+# cold Dinic oracle, and the benchmark's tracer (bench/tracing.py) wraps
+# its Dinic methods by name.
+from . import maxflow  # noqa: F401
+
 __version__ = "0.1.0"
 
 __all__ = [

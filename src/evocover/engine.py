@@ -205,11 +205,6 @@ class Individual:
     def fitness(self) -> Fitness:
         return Fitness(self.cost, self.lp2)
 
-    @property
-    def incident(self) -> np.ndarray:
-        """Vertices touching an uncovered edge, computed on each access."""
-        return uncovered_incidence(self.graph, self.bits)
-
     def focused_pvec(self) -> np.ndarray:
         """Flip probabilities of the focused mutation branch, made on first use."""
         if self._alt_pvec is None:
@@ -218,16 +213,6 @@ class Individual:
 
     def __repr__(self) -> str:  # debugging aid
         return f"Individual(cost={self.cost}, lp2={self.lp2}, ones={self.ones})"
-
-
-def uncovered_incidence(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
-    """Mask of the vertices touching an edge that ``bits`` (uint8) leaves uncovered.
-
-    Selected vertices cover all their edges, so they are never in the mask.
-    """
-    incident = np.zeros(g.n, dtype=bool)
-    incident[_uncovered_ends(g, bits)] = True
-    return incident
 
 
 def _uncovered_ends(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
@@ -614,6 +599,8 @@ class Termination:
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be >= 0")
         if self.target_ratio is not None:
+            # exact for a float too: Fraction(1.5) == 3/2
+            object.__setattr__(self, "target_ratio", Fraction(self.target_ratio))
             if self.opt is None:
                 raise ValueError("a ratio target requires opt")
             if self.target_ratio < 1:

@@ -8,10 +8,11 @@ The solver reduces to max-flow on the bipartite double cover: source -> v_L
 with capacity w(v), v_R -> sink with capacity w(v), and for every edge (u, v)
 the unbounded arcs u_L -> v_R and v_L -> u_R. The max-flow value equals
 2 * LP, and the canonical source-side minimum cut yields a deterministic
-optimal half-integral assignment. ``solve_cover_lp`` solves it cold with
-Dinic, for ``solve_lp``, ``lp_value2`` and the tests' oracle. ``DoubleCover``
-solves it warm on a three-list flow instead of a general network, for the
-Evaluator and for branch and bound, each of which edits one flow.
+optimal half-integral assignment. ``DoubleCover`` is the one max-flow
+solver: it keeps the flow as three lists instead of a general network. The
+Evaluator and branch and bound each edit one warm flow; ``solve_cover_lp``
+(behind ``solve_lp``, ``lp_value2`` and the CLI) solves once from the zero
+flow and reads the cut off the final search round.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import ResidualGraph, WeightedGraph, residual
-from .maxflow import MaxFlow
 
 BRUTE_FORCE_LIMIT = 14
 
@@ -38,37 +38,6 @@ class HalfIntegralLP:
 
     value2: int
     assign2: tuple[int, ...]
-
-
-def solve_cover_lp(num_vertices: int,
-                   edges: Iterable[tuple[int, int]],
-                   weights: Sequence[int]) -> HalfIntegralLP:
-    """Optimal fractional vertex cover of an explicit graph, doubled.
-
-    Isolated vertices get assign2 = 0. Deterministic: the assignment is read
-    off the source-side-minimal cut, which is unique.
-    """
-    edges = list(edges)
-    if not edges:
-        return HalfIntegralLP(0, (0,) * num_vertices)
-    # nodes: 0 = source, 1 = sink, 2+i = left copy, 2+n+i = right copy
-    n = num_vertices
-    net = MaxFlow(2 + 2 * n)
-    unbounded = sum(int(weights[i]) for i in range(n)) + 1
-    for i in range(n):
-        w = int(weights[i])
-        net.add_arc(0, 2 + i, w)
-        net.add_arc(2 + n + i, 1, w)
-    for u, v in edges:
-        net.add_arc(2 + u, 2 + n + v, unbounded)
-        net.add_arc(2 + v, 2 + n + u, unbounded)
-    value2 = net.max_flow(0, 1)
-    reach = net.source_side(0)
-    assign2 = tuple(
-        (0 if reach[2 + i] else 1) + (1 if reach[2 + n + i] else 0)
-        for i in range(n)
-    )
-    return HalfIntegralLP(value2, assign2)
 
 
 class DoubleCover:
@@ -89,14 +58,17 @@ class DoubleCover:
     unselected y and R -> L back over arcs carrying flow, and each reached
     y_R with spare demand is augmented along its tree path by the path's
     bottleneck at that time, until a search reaches no such y_R. The
-    max-flow value does not depend on the starting flow, so the result is
-    the cold Dinic solver's (``solve_cover_lp``). A solve given a ``limit``
-    may stop early: every flow of the rounds is valid, so its value is a
-    lower bound on 2 * LP. The flow does not keep its selection: the caller
-    owns it, and names what changed at each solve.
+    max-flow value does not depend on the starting flow, so a warm solve
+    equals a cold one (``solve_cover_lp``). The final search round, which
+    reaches no such y_R, marks exactly the source side of the canonical
+    minimum cut; ``_augment`` keeps its marks in ``_cut``. A solve given a
+    ``limit`` may stop early: every flow of the rounds is valid, so its
+    value is a lower bound on 2 * LP. The flow does not keep its selection:
+    the caller owns it, and names what changed at each solve.
     """
 
-    __slots__ = ("value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head", "_out", "_in")
+    __slots__ = ("value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head", "_out", "_in",
+                 "_cut")
 
     def __init__(self, g: WeightedGraph):
         n = g.n
@@ -179,6 +151,7 @@ class DoubleCover:
                             via_l[x] = a
                             front.append(x)
             if not sinks:
+                self._cut = via_l, via_r
                 return added
             for y in sinks:
                 b = dem[y]
@@ -217,6 +190,23 @@ class DoubleCover:
         self._flow[:] = flow
         self._sup[:] = sup
         self._dem[:] = dem
+
+
+def solve_cover_lp(num_vertices: int,
+                   edges: Iterable[tuple[int, int]],
+                   weights: Sequence[int]) -> HalfIntegralLP:
+    """Optimal fractional vertex cover of an explicit graph, doubled.
+
+    ``edges`` may repeat or list both orientations. Isolated vertices get
+    assign2 = 0. Deterministic: assign2[i] counts i_L outside and i_R inside
+    the set that the final search round reaches, which is the source side of
+    the canonical minimum cut, the same set for every maximum flow.
+    """
+    n = num_vertices
+    cover = DoubleCover(WeightedGraph(n, tuple(int(weights[i]) for i in range(n)), tuple(edges)))
+    value2 = cover.solve([0] * n, [])
+    via_l, via_r = cover._cut
+    return HalfIntegralLP(value2, tuple((a == -2) + (b >= 0) for a, b in zip(via_l, via_r)))
 
 
 def solve_lp(rg: ResidualGraph, weights: Sequence[int]) -> HalfIntegralLP:

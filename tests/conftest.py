@@ -3,7 +3,8 @@
 The tiny oracles deliberately avoid the library code paths they check:
 fractional covers are enumerated over the half-integral grid with plain
 itertools, optimal covers by scanning all subsets, and box coordinates by
-exact Fraction powers.
+exact Fraction powers. The cold LP oracle runs Dinic (``evocover.maxflow``),
+a max-flow algorithm the library's ``DoubleCover`` does not share.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import evocover as ec
+from evocover.maxflow import MaxFlow
 
 
 def make_instances(count, seed0, n_values, p_values=(0.3, 0.6), w_values=(1, 8),
@@ -54,6 +56,40 @@ def tiny_lp_value2(num_vertices, edges, weights):
             if best is None or val < best:
                 best = val
     return best if best is not None else 0
+
+
+def dinic_cover_lp(num_vertices, edges, weights):
+    """Doubled optimal fractional cover by cold Dinic on the double cover.
+
+    Source -> v_L and v_R -> sink carry w(v), each edge adds the unbounded
+    arcs u_L -> v_R and v_L -> u_R; assign2 is read off the source side of
+    the minimum cut. Independent of the library's ``DoubleCover``.
+    """
+    edges = list(edges)
+    n = num_vertices
+    if not edges:
+        return ec.HalfIntegralLP(0, (0,) * n)
+    # nodes: 0 = source, 1 = sink, 2+i = left copy, 2+n+i = right copy
+    net = MaxFlow(2 + 2 * n)
+    unbounded = sum(int(weights[i]) for i in range(n)) + 1
+    for i in range(n):
+        w = int(weights[i])
+        net.add_arc(0, 2 + i, w)
+        net.add_arc(2 + n + i, 1, w)
+    for u, v in edges:
+        net.add_arc(2 + u, 2 + n + v, unbounded)
+        net.add_arc(2 + v, 2 + n + u, unbounded)
+    value2 = net.max_flow(0, 1)
+    reach = net.source_side(0)
+    assign2 = tuple((0 if reach[2 + i] else 1) + (1 if reach[2 + n + i] else 0)
+                    for i in range(n))
+    return ec.HalfIntegralLP(value2, assign2)
+
+
+def dinic_lp2(g, x):
+    """2 * LP of the residual graph of the selection x, by ``dinic_cover_lp``."""
+    rg = ec.residual(g, x)
+    return dinic_cover_lp(rg.num_vertices, rg.edges, [g.weights[i] for i in rg.kept]).value2
 
 
 def tiny_opt(g):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evocover as ec
-from conftest import make_instances, tiny_box_coord
+from conftest import dinic_lp2, make_instances, tiny_box_coord
 
 
 def mk(cost, lp2, ones=0):
@@ -123,7 +123,7 @@ def test_mutations_draw_as_the_uniform_formulas():
         assert np.array_equal(y, x ^ (b.uniforms(n) < 1 / n))
         pvec = 1 / n
         if b.uniform() < 0.5:
-            pvec = np.where(ec.engine.uncovered_incidence(g, x), 0.5, 1 / n)
+            pvec = ec.engine._focused_pvec(g, x)
         z = ec.alternative_mutation(g, x, a)
         assert np.array_equal(z, x ^ (b.uniforms(n) < pvec))
         assert np.array_equal(x, before)
@@ -211,12 +211,19 @@ def test_alternative_mutation_full_cover_degenerates():
 
 
 def test_incident_mask_excludes_selected_vertices():
+    # the focused branch flips with 1/2 exactly the ends of uncovered edges;
+    # at n = 3 every other vertex gets 1/3
     g = ec.path(3)
     ev = ec.Evaluator(g)
-    assert ev.evaluate(np.array([0, 0, 0], dtype=np.uint8)).incident.tolist() == [True, True, True]
+
+    def mask(bits):
+        return (ev.evaluate(np.array(bits, dtype=np.uint8)).focused_pvec() == 0.5).tolist()
+
+    assert mask([0, 0, 0]) == [True, True, True]
     # selecting vertex 0 covers edge (0,1); only (1,2) stays uncovered
-    assert ev.evaluate(np.array([1, 0, 0], dtype=np.uint8)).incident.tolist() == [False, True, True]
-    assert ev.evaluate(np.array([0, 1, 0], dtype=np.uint8)).incident.tolist() == [False, False, False]
+    assert mask([1, 0, 0]) == [False, True, True]
+    assert mask([0, 1, 0]) == [False, False, False]
+    assert mask([1, 0, 1]) == [False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +441,21 @@ def test_termination_validation():
         ec.run("annealing", g, 0, ec.Termination(budget=10))
 
 
+def test_float_ratio_target_runs_as_the_equal_fraction():
+    g = ec.gnp(12, 0.4, w_max=16, seed=1)
+    opt = ec.opt_exhaustive(g).opt_cost
+    hits = 0
+    for ratio, exact in ((1.5, Fraction(3, 2)), (1.25, Fraction(5, 4)), (2, Fraction(2))):
+        term = ec.Termination(budget=2000, target_ratio=ratio, opt=opt)
+        assert type(term.target_ratio) is Fraction and term.target_ratio == exact
+        for algorithm in ec.ALGORITHMS:
+            tr = ec.run(algorithm, g, 3, term, record_series=True)
+            assert tr == ec.run(algorithm, g, 3, ec.Termination(budget=2000, target_ratio=exact,
+                                                                 opt=opt), record_series=True)
+            hits += tr.iters_to_target is not None
+    assert hits >= 8
+
+
 def test_run_deterministic_for_fixed_seed(triangle):
     term = ec.Termination(budget=500)
     a = ec.run("demo", triangle, 42, term, record_series=True)
@@ -497,7 +519,7 @@ def test_run_fitness_honesty():
     checked = 0
     for ind in list(ev._cache.values())[:200]:
         assert ind.cost == ec.cost(g, ind.bits)
-        assert ind.lp2 == ec.lp_value2(g, ind.bits)
+        assert ind.lp2 == dinic_lp2(g, ind.bits)
         assert ind.ones == int(ind.bits.sum())
         checked += 1
     assert checked > 0
@@ -555,7 +577,7 @@ def test_warm_lp_matches_cold_dinic_and_brute_force(walk):
             archive = [m for m in archive if m.key != child.key][-3:] + [child]
             ev.retain(child, archive)
     for ind in inds:
-        cold = ec.lp_value2(g, ind.bits)
+        cold = dinic_lp2(g, ind.bits)
         assert ind.lp2 == cold == ec.brute_force_lp(ec.residual(g, ind.bits), g.weights).value2
 
 
@@ -610,10 +632,11 @@ def test_delta_evaluation_matches_full_evaluation(walk):
         assert (child.cost, child.ones) == (full.cost, full.ones)
         assert (child.cost, child.ones) == (ec.cost(g, bits), int(bits.sum()))
         assert child.uncovered == full.uncovered == ec.residual(g, bits).num_edges
-        assert np.array_equal(child.incident, full.incident)
+        assert np.array_equal(child.focused_pvec(), full.focused_pvec())
         ends = {v for e in ec.residual(g, bits).original_edges() for v in e}
-        assert child.incident.tolist() == [v in ends for v in range(g.n)]
-        exact = ec.lp_value2(g, bits)  # cold Dinic
+        assert child.focused_pvec().tolist() == [0.5 if v in ends else 1 / g.n
+                                                 for v in range(g.n)]
+        exact = dinic_lp2(g, bits)
         assert full.lp2 == exact
         if child.key in ev._bounded:
             assert max(limit, 1) <= child.lp2 <= exact
@@ -658,9 +681,9 @@ def test_bounded_candidates_never_enter_the_archive():
             if cand.key in ev._bounded:
                 seen["bounded"] += 1
                 assert not accepted, (algorithm, it)
-                assert 1 <= cand.lp2 <= ec.lp_value2(g, cand.bits), (algorithm, it)
+                assert 1 <= cand.lp2 <= dinic_lp2(g, cand.bits), (algorithm, it)
             elif accepted:
-                assert cand.lp2 == ec.lp_value2(g, cand.bits), (algorithm, it)
+                assert cand.lp2 == dinic_lp2(g, cand.bits), (algorithm, it)
             for m in archive.members:
                 assert ev._cache.get(m.key) is m, (algorithm, it)
             for key, state in ev._states.items():
@@ -671,7 +694,7 @@ def test_bounded_candidates_never_enter_the_archive():
                    callback=check)
         assert seen["bounded"] > 100, algorithm
         for ind in list(ev._bounded.values()):  # a limitless evaluation solves exactly
-            assert ev.evaluate(ind.bits).lp2 == ec.lp_value2(g, ind.bits)
+            assert ev.evaluate(ind.bits).lp2 == dinic_lp2(g, ind.bits)
             assert ind.key in ev._cache and ind.box is None
         assert not ev._bounded
 

@@ -6,6 +6,8 @@ grid (see tiny_lp_value2) before being frozen into assertions.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 import evocover as ec
 from evocover.lp import DoubleCover
-from conftest import make_instances, np_rng, random_genotype, tiny_lp_value2
+from conftest import (dinic_cover_lp, dinic_lp2, make_instances, np_rng, random_genotype,
+                      tiny_lp_value2)
 
 
 def full_residual(g):
@@ -122,6 +125,35 @@ def test_solver_deterministic():
         assert ec.solve_lp(rg, g.weights) == first
 
 
+def test_solve_cover_lp_matches_cold_dinic():
+    # value2 and the canonical assignment equal the Dinic oracle's, on
+    # residual graphs and on raw edge lists with repeated and reversed
+    # edges, no edges, and isolated vertices
+    rng = np_rng(14)
+    seed = 700
+    for n, p, w_max in itertools.product(range(1, 41), (0.1, 0.3, 0.6), (1, 16)):
+        g = ec.gnp(n, p, w_max=w_max, seed=seed)
+        seed += 1
+        for x in ([0] * n, random_genotype(n, rng)):
+            rg = ec.residual(g, x)
+            w = [g.weights[i] for i in rg.kept]
+            sol = ec.solve_cover_lp(rg.num_vertices, rg.edges, w)
+            assert sol == dinic_cover_lp(rg.num_vertices, rg.edges, w), (g, x)
+            assert all(type(a) is int for a in sol.assign2)
+    for trial in range(600):
+        n = int(rng.integers(1, 21))
+        w = rng.integers(1, 17, size=n).tolist()
+        m = 0 if trial % 10 == 0 else int(rng.integers(0, 3 * n + 1))
+        ends = rng.integers(0, n, size=(m, 2)).tolist()
+        edges = [(u, v) for u, v in ends if u != v]
+        edges += edges[:len(edges) // 3]  # repeated as given
+        edges += [(v, u) for u, v in edges[:len(edges) // 4]]  # reversed
+        sol = ec.solve_cover_lp(n, iter(edges), w)
+        assert sol == dinic_cover_lp(n, edges, w), (n, w, edges)
+        touched = {v for e in edges for v in e}
+        assert all(sol.assign2[v] == 0 for v in range(n) if v not in touched)
+
+
 def test_against_general_lp_solver():
     # third route: the continuous relaxation solved by scipy (no half-integral
     # restriction) must give the same optimum as the flow reduction
@@ -213,7 +245,7 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
         bits = bits.copy()
         bits[sorted(flips)] ^= 1
         value = cover.solve(bits.tolist(), sorted(flips), limit)
-        exact = ec.lp_value2(g, bits)
+        exact = dinic_lp2(g, bits)
         if limit is None or value < limit:
             assert value == exact
         else:
