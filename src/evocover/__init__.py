@@ -71,10 +71,17 @@ from .lp import (
     solve_lp,
 )
 
-# maxflow is unused by the package but stays importable: it is the tests'
-# cold Dinic oracle, and the benchmark's tracer (bench/tracing.py) wraps
-# its Dinic methods by name.
-from . import maxflow  # noqa: F401
+
+def __getattr__(name: str):
+    # maxflow is unused by the package but stays importable: it is the
+    # tests' cold Dinic oracle, and the benchmark's tracer (bench/tracing.py)
+    # wraps its Dinic methods by name. It is imported on first access, so
+    # that importing evocover does not compile it.
+    if name == "maxflow":
+        import importlib
+        return importlib.import_module(f"{__name__}.maxflow")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log1p
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -56,25 +57,35 @@ def dominates_strong(a: Fitness, b: Fitness) -> bool:
 class _PowerFloors:
     """floor(r^k) and floor(2 r^k) for r = (2n+1)/(2n) and k = 0, 1, ...
 
-    Both lists are non-decreasing; they grow on demand from the exact powers
-    (2n+1)^k and (2n)^k.
+    Both lists are non-decreasing; they grow on demand, doubling. An entry
+    is the floor of the float s * exp(E) with E = k * log1p(1/(2n)), whose
+    relative error, a few ulp times (E + 1), is far below 1e-13 while the
+    float is finite (E < 710). Only an entry within 1e-13 of an integer, or
+    past the float range, is floored exactly, from (2n+1)^k and (2n)^k.
     """
 
-    __slots__ = ("_bn", "_bd", "_num", "_den", "floors")
+    __slots__ = ("_bn", "_bd", "_log", "floors")
 
     def __init__(self, n: int):
         self._bn, self._bd = 2 * n + 1, 2 * n
-        self._num = self._den = 1  # r^k = num / den for the last k tabulated
+        self._log = log1p(1 / (2 * n))
         self.floors = {1: [1], 2: [2]}  # scale -> [floor(scale * r^k) for k]
 
     def first_reaching(self, scale: int, target: int) -> int:
         """Smallest k with floor(scale * r^k) >= target."""
         table = self.floors[scale]
         while table[-1] < target:
-            self._num *= self._bn
-            self._den *= self._bd
-            self.floors[1].append(self._num // self._den)
-            self.floors[2].append(2 * self._num // self._den)
+            start = len(table)
+            for s, floors in self.floors.items():
+                with np.errstate(over="ignore", invalid="ignore"):  # inf is near
+                    x = s * np.exp(np.arange(start, 2 * start) * self._log)
+                    f = np.floor(x)
+                    near = ~(np.minimum(x - f, f + 1 - x) > 1e-13 * x)
+                new = np.where(near, 0, f).astype(np.int64).tolist()
+                for i in np.flatnonzero(near).tolist():
+                    k = start + i
+                    new[i] = s * self._bn ** k // self._bd ** k
+                floors += new
         return bisect_left(table, target)
 
 
@@ -600,7 +611,11 @@ class Termination:
             raise ValueError("budget must be >= 0")
         if self.target_ratio is not None:
             # exact for a float too: Fraction(1.5) == 3/2
-            object.__setattr__(self, "target_ratio", Fraction(self.target_ratio))
+            try:
+                ratio = Fraction(self.target_ratio)
+            except OverflowError:  # an infinite float
+                raise ValueError("target ratio must be finite") from None
+            object.__setattr__(self, "target_ratio", ratio)
             if self.opt is None:
                 raise ValueError("a ratio target requires opt")
             if self.target_ratio < 1:

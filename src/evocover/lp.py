@@ -13,6 +13,11 @@ solver: it keeps the flow as three lists instead of a general network. The
 Evaluator and branch and bound each edit one warm flow; ``solve_cover_lp``
 (behind ``solve_lp``, ``lp_value2`` and the CLI) solves once from the zero
 flow and reads the cut off the final search round.
+
+A maximum flow also carries an optimal doubled cover, the dual
+certificate. A warm solve of a few edits edits that cover into an upper
+bound, searches only near the edit, and stops when the flow meets the
+bound; it falls back to the global search rounds otherwise.
 """
 
 from __future__ import annotations
@@ -53,22 +58,41 @@ class DoubleCover:
       the far endpoint's supply or demand, then zeroes v's supply and demand;
     * deselecting v restores w(v) to both; the flow stays valid.
 
-    Then, in rounds (the flow reuse of dynamic graph cuts), a breadth-first
-    search from every x_L with spare supply moves L -> R over edge arcs to
-    unselected y and R -> L back over arcs carrying flow, and each reached
-    y_R with spare demand is augmented along its tree path by the path's
-    bottleneck at that time, until a search reaches no such y_R. The
-    max-flow value does not depend on the starting flow, so a warm solve
-    equals a cold one (``solve_cover_lp``). The final search round, which
-    reaches no such y_R, marks exactly the source side of the canonical
-    minimum cut; ``_augment`` keeps its marks in ``_cut``. A solve given a
-    ``limit`` may stop early: every flow of the rounds is valid, so its
-    value is a lower bound on 2 * LP. The flow does not keep its selection:
-    the caller owns it, and names what changed at each solve.
+    A maximum flow carries a second certificate: a doubled half-integral
+    cover ``a`` of the residual graph (a[u] + a[v] >= 2 on every edge) whose
+    weight sum(a[v] * w(v)) equals the flow value, so both are optimal. A
+    solve of at most three edits from such a flow, on a graph of 16 or more
+    vertices, first edits the cover into an upper bound U: selecting v
+    takes a[v] * w(v) off, deselecting v adds 2 * w(v) (v was not in the
+    old residual graph, so its old a[v] means nothing), and one greedy pass
+    lowers each deselected vertex and each unselected neighbour of a
+    selected one to the least value its unselected neighbours allow. The
+    cover stays feasible, so U >= 2 * LP. The old flow was maximum, so a new
+    augmenting path must start at a vertex whose spare supply rose or end
+    at one whose spare demand rose: short breadth-first searches from those
+    vertices, forward and then backward, each stopping at its first sink,
+    augment until the flow reaches U. That proves it maximum with no
+    further search, and the edited cover becomes its certificate.
+
+    Otherwise (U is loose, the paths lie elsewhere, there is no cover, or
+    there are more edits) the search runs in rounds, the flow reuse of
+    dynamic graph cuts: a breadth-first search from every x_L with spare
+    supply moves L -> R over edge arcs to unselected y and R -> L back over
+    arcs carrying flow, and each reached y_R with spare demand is augmented
+    along its tree path by the path's bottleneck at that time, until the
+    flow reaches U or a search reaches no such y_R. The max-flow value does
+    not depend on the starting flow, so a warm solve equals a cold one
+    (``solve_cover_lp``). A final round that reaches no such y_R marks
+    exactly the source side of the canonical minimum cut, and the cover is
+    read off its marks: a[i] = (i_L not reached) + (i_R reached). A solve
+    given a ``limit`` may stop early: every flow of the search is valid, so
+    its value is a lower bound on 2 * LP, and such a flow keeps no cover.
+    The flow does not keep its selection: the caller owns it, and names
+    what changed at each solve.
     """
 
     __slots__ = ("value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head", "_out", "_in",
-                 "_cut")
+                 "_box", "_local_edits", "_ep", "_seen_l", "_seen_r", "_via_l", "_via_r")
 
     def __init__(self, g: WeightedGraph):
         n = g.n
@@ -86,6 +110,17 @@ class DoubleCover:
         self._sup = list(self._w)
         self._dem = list(self._w)
         self.value2 = 0  # value of the current flow, whose selection is 0^n
+        # [the flow's cover certificate, or a final round's marks to read it
+        # off], shared with the states taken of this flow; None if unknown
+        self._box = None
+        # The most edits a solve searches locally. More edits bring more
+        # seeds and a looser U, and below 16 vertices a round costs less than
+        # the local searches' upkeep (measured on gnp graphs, n = 8 to 100).
+        self._local_edits = 3 if n >= 16 else -1
+        # the edit-local searches' marks: a vertex is reached iff stamped _ep
+        self._ep = 1
+        self._seen_l, self._seen_r = [0] * n, [0] * n
+        self._via_l, self._via_r = [0] * n, [0] * n
 
     def solve(self, sel: list[int], edits: list[int], limit: int | None = None) -> int:
         """2 * LP of the residual graph of ``sel``, augmenting from the current flow.
@@ -96,34 +131,170 @@ class DoubleCover:
         reaches it: a value below ``limit`` is exact, one at or above it
         lies between ``limit`` and 2 * LP.
         """
+        cov = self._cover() if len(edits) <= self._local_edits else None
+        self._box = None
+        if cov is None:  # the flow edit alone; _edit also edits the cover and keeps seeds
+            flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
+            value = self.value2
+            for v in edits:
+                if sel[v]:
+                    for a, y in self._out[v]:  # paths s -> v_L -> y_R -> t
+                        f = flow[a]
+                        if f:
+                            flow[a] = 0
+                            dem[y] += f
+                    for a, x in self._in[v]:  # paths s -> x_L -> v_R -> t
+                        f = flow[a]
+                        if f:
+                            flow[a] = 0
+                            sup[x] += f
+                    value -= 2 * w[v] - sup[v] - dem[v]
+                    sup[v] = dem[v] = 0
+                else:
+                    sup[v] = dem[v] = w[v]
+            target = limit
+        else:
+            cov = list(cov)  # a stored state may hold the old one
+            value, upper, fwd, bwd = self._edit(cov, sel, edits)
+            target = upper if limit is None or upper < limit else limit
+            if value < target:
+                value = self._local(sel, fwd, bwd, value, target)
+        if target is None or value < target:
+            value += self._augment(sel, None if target is None else target - value)
+        self.value2 = value
+        if cov is not None and value == upper:
+            self._box = [cov]
+        return value
+
+    def _edit(self, cov: list[int], sel: list[int], edits: list[int]) -> tuple:
+        """Edit the flow as ``solve`` does, and its cover ``cov`` into a cover
+        of ``sel``'s residual graph. Returns the edited flow's value, the
+        cover's weight U >= 2 * LP, and the vertices whose spare supply, and
+        whose spare demand, rose."""
         flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
-        value = self.value2
+        value = upper = self.value2
+        fwd, bwd = [], []
+        fix = []  # vertices whose least feasible cover value may have dropped
         for v in edits:
+            c = cov[v]
             if sel[v]:
-                for a, y in self._out[v]:  # paths s -> v_L -> y_R -> t
+                held = 2 - c if c < 2 else -1  # a[y] == held: v held a[y] up
+                for a, y in self._out[v]:
                     f = flow[a]
                     if f:
                         flow[a] = 0
                         dem[y] += f
-                for a, x in self._in[v]:  # paths s -> x_L -> v_R -> t
+                        bwd.append(y)
+                    if cov[y] == held:
+                        fix.append(y)
+                for a, x in self._in[v]:
                     f = flow[a]
                     if f:
                         flow[a] = 0
                         sup[x] += f
+                        fwd.append(x)
                 value -= 2 * w[v] - sup[v] - dem[v]
                 sup[v] = dem[v] = 0
+                upper -= c * w[v]
             else:
                 sup[v] = dem[v] = w[v]
-        need = None if limit is None else limit - value
-        if need is not None and need <= 0:  # the cancelled flow reaches the limit
-            self.value2 = value
-            return value
-        self.value2 = value + self._augment(sel, need)
-        return self.value2
+                upper += 2 * w[v]
+                cov[v] = 2
+                fwd.append(v)
+                bwd.append(v)
+                fix.append(v)
+        for u in fix:
+            c = cov[u]
+            if c and not sel[u]:
+                low = 0  # the least a[u] that covers u's unselected edges
+                for _, z in self._out[u]:
+                    if not sel[z] and 2 - cov[z] > low:
+                        low = 2 - cov[z]
+                        if low == c:
+                            break
+                if low < c:
+                    upper -= (c - low) * w[u]
+                    cov[u] = low
+        return value, upper, fwd, bwd
+
+    def _local(self, sel: list[int], fwd: list[int], bwd: list[int], value: int,
+               target: int) -> int:
+        """Augment from the vertices whose spare supply (``fwd``) or demand
+        (``bwd``) rose until the flow value reaches ``target``; returns it.
+
+        A backward search is a forward one on the mirror network, where L
+        and R, supply and demand, and each arc's ends trade places.
+        """
+        for seeds, out, inn, tail, head, sup, dem in (
+                (fwd, self._out, self._in, self._tail, self._head, self._sup, self._dem),
+                (bwd, self._in, self._out, self._head, self._tail, self._dem, self._sup)):
+            self._ep += 1
+            for x in seeds:
+                while sup[x]:
+                    b = self._path(x, sel, out, inn, tail, head, sup, dem)
+                    if not b:
+                        break
+                    value += b
+                    if value >= target:
+                        return value
+        return value
+
+    def _path(self, x0: int, sel: list[int], out, inn, tail, head, sup, dem) -> int:
+        """Augment along one shortest path from x0_L to a y_R with spare
+        demand by its bottleneck; returns that, 0 when there is no path.
+
+        A search that fails leaves its marks: what it reached has no path to
+        spare demand, and no augmentation elsewhere gives it one, so the next
+        search of the same epoch skips it.
+        """
+        flow, ep = self._flow, self._ep
+        seen_l, seen_r, via_l, via_r = self._seen_l, self._seen_r, self._via_l, self._via_r
+        if seen_l[x0] == ep:
+            return 0
+        seen_l[x0] = ep
+        front = [x0]
+        for x in front:  # grows while it is walked: a queue
+            for a, y in out[x]:
+                if seen_r[y] != ep and not sel[y]:
+                    seen_r[y] = ep
+                    via_r[y] = a
+                    if dem[y]:
+                        break
+                    for b, z in inn[y]:
+                        if flow[b] and seen_l[z] != ep:
+                            seen_l[z] = ep
+                            via_l[z] = b
+                            front.append(z)
+            else:
+                continue
+            break
+        else:
+            return 0
+        self._ep = ep + 1
+        # the tree path x0_L -> ... -> y_R, walked back from y_R
+        b = dem[y] if dem[y] < sup[x0] else sup[x0]
+        x = tail[a]
+        while x != x0:
+            a = via_l[x]
+            if flow[a] < b:
+                b = flow[a]
+            x = tail[via_r[head[a]]]
+        dem[y] -= b
+        sup[x0] -= b
+        a = via_r[y]
+        flow[a] += b
+        x = tail[a]
+        while x != x0:
+            a = via_l[x]
+            flow[a] -= b
+            a = via_r[head[a]]
+            flow[a] += b
+            x = tail[a]
+        return b
 
     def _augment(self, sel: list[int], need: int | None) -> int:
-        """Augment the current flow to a maximum one, or until ``need`` units
-        are added; returns the flow added."""
+        """Augment the current flow in rounds to a maximum one, or until
+        ``need`` units are added; returns the flow added."""
         flow, sup, dem, tail, head = self._flow, self._sup, self._dem, self._tail, self._head
         out, inn = self._out, self._in
         n = len(sup)
@@ -151,7 +322,7 @@ class DoubleCover:
                             via_l[x] = a
                             front.append(x)
             if not sinks:
-                self._cut = via_l, via_r
+                self._box = [(via_l, via_r)]
                 return added
             for y in sinks:
                 b = dem[y]
@@ -179,14 +350,26 @@ class DoubleCover:
                 if need is not None and added >= need:
                     return added
 
+    def _cover(self) -> list[int] | None:
+        """The current flow's cover certificate, or None; read off a final
+        round's marks on first use, for every state that shares it."""
+        box = self._box
+        if box is None:
+            return None
+        if box[0].__class__ is tuple:
+            via_l, via_r = box[0]
+            box[0] = [(l == -2) + (r >= 0) for l, r in zip(via_l, via_r)]
+        return box[0]
+
     def state(self) -> tuple:
-        """The current flow value, and copies of the flow lists."""
-        return self.value2, self._flow[:], self._sup[:], self._dem[:]
+        """The current flow value, copies of the flow lists, and the cover
+        certificate's box (a solve never changes a cover in place)."""
+        return self.value2, self._flow[:], self._sup[:], self._dem[:], self._box
 
     def load(self, state: tuple) -> None:
         """Make a state returned by ``state`` current again; its selection
         becomes the current one."""
-        self.value2, flow, sup, dem = state
+        self.value2, flow, sup, dem, self._box = state
         self._flow[:] = flow
         self._sup[:] = sup
         self._dem[:] = dem
@@ -205,8 +388,7 @@ def solve_cover_lp(num_vertices: int,
     n = num_vertices
     cover = DoubleCover(WeightedGraph(n, tuple(int(weights[i]) for i in range(n)), tuple(edges)))
     value2 = cover.solve([0] * n, [])
-    via_l, via_r = cover._cut
-    return HalfIntegralLP(value2, tuple((a == -2) + (b >= 0) for a, b in zip(via_l, via_r)))
+    return HalfIntegralLP(value2, tuple(cover._cover()))
 
 
 def solve_lp(rg: ResidualGraph, weights: Sequence[int]) -> HalfIntegralLP:

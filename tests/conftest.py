@@ -92,6 +92,28 @@ def dinic_lp2(g, x):
     return dinic_cover_lp(rg.num_vertices, rg.edges, [g.weights[i] for i in rg.kept]).value2
 
 
+def scipy_lp2(g, x):
+    """2 * LP of the residual graph of the selection x, by SciPy's cold
+    max-flow on the double cover; independent of both Dinic and ``DoubleCover``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    rg = ec.residual(g, x)
+    k = rg.num_vertices
+    big = sum(g.weights) + 1
+    rows, cols, caps = [], [], []
+    for i, v in enumerate(rg.kept):  # 0 = source, 1 = sink, 2+i left, 2+k+i right
+        rows += [0, 2 + k + i]
+        cols += [2 + i, 1]
+        caps += [g.weights[v], g.weights[v]]
+    for u, v in rg.edges:
+        rows += [2 + u, 2 + v]
+        cols += [2 + k + v, 2 + k + u]
+        caps += [big, big]
+    mat = csr_matrix((np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(2 + 2 * k,) * 2)
+    return int(maximum_flow(mat, 0, 1).flow_value)
+
+
 def tiny_opt(g):
     """Minimum-weight cover by scanning all subsets; lexicographically
     smallest witness among ties."""

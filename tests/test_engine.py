@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evocover as ec
+from evocover.lp import DoubleCover
 from conftest import dinic_lp2, make_instances, tiny_box_coord
 
 
@@ -44,18 +45,22 @@ def test_box_index_examples():
 
 
 def test_box_index_against_fraction_oracle():
-    for n in (1, 2, 4, 7, 12, 33, 100, 300):
+    # the tables grow from float powers, floored exactly near an integer;
+    # n = 1000 reaches powers (2n+1)^k of about 200 000 bits
+    for n in (1, 2, 4, 7, 12, 33, 100, 300, 1000):
         for cost in (0, 1, 2, 5, 17, 100, 12345):
             assert ec.box_index(ec.Fitness(cost, 0), n).b1 == tiny_box_coord(Fraction(cost), n)
         for lp2 in (0, 1, 2, 3, 7, 16, 99, 1001):
             assert ec.box_index(ec.Fitness(0, lp2), n).b2 == tiny_box_coord(Fraction(lp2, 2), n)
         # every cost up to n * w_max and every lp2 up to 2 * n * w_max at
-        # w_max = 16, against the same exact powers taken in one increasing pass
+        # w_max = 16, against exact powers r^k = num / den taken in one
+        # increasing pass: r^k < 1 + lp2 / 2 iff 2 num < (2 + lp2) den
         top = n * 16
-        base, power, k = 1 + Fraction(1, 2 * n), Fraction(1), 0
+        num, den, k = 1, 1, 0
         for lp2 in range(2 * top + 1):
-            while power < 1 + Fraction(lp2, 2):
-                power *= base
+            while 2 * num < (2 + lp2) * den:
+                num *= 2 * n + 1
+                den *= 2 * n
                 k += 1
             assert ec.box_index(ec.Fitness(0, lp2), n).b2 == k
             if lp2 % 2 == 0:
@@ -436,6 +441,9 @@ def test_termination_validation():
         ec.Termination(target_ratio=Fraction(2))  # needs opt
     with pytest.raises(ValueError):
         ec.Termination(target_ratio=Fraction(1, 2), opt=3)
+    for ratio in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ec.Termination(target_ratio=ratio, opt=3, budget=5)
     g = ec.path(3)
     with pytest.raises(ValueError):
         ec.run("annealing", g, 0, ec.Termination(budget=10))
@@ -651,13 +659,29 @@ def test_delta_evaluation_matches_full_evaluation(walk):
 
 def test_residual_states_stay_within_the_archive():
     g = ec.gnp(40, 0.1, w_max=16, seed=3)
+    scratch = DoubleCover(g)  # reads the stored states' cover certificates
     for algorithm in ec.ALGORITHMS:
         ev = ec.Evaluator(g)
         sizes = []
+        checked = {}  # id -> (state, a copy of its checked cover)
 
         def check(it, cand, accepted, archive):
             sizes.append(len(archive.members))
             assert len(ev._states) <= len(archive.members) + 2, (algorithm, it)
+            # every stored flow is exact, so it carries its optimal cover
+            for key, state in ev._states.items():
+                scratch.load(state)
+                a = scratch._cover()
+                assert a is not None, (algorithm, it)
+                seen = checked.get(id(state))
+                if seen is not None and seen[0] is state:
+                    assert a == seen[1], (algorithm, it)  # no solve changed it
+                    continue
+                kept = [v for v in range(g.n) if not key[v]]
+                assert all(a[u] + a[v] >= 2 for u, v in g.edges
+                           if not (key[u] or key[v])), (algorithm, it)
+                assert sum(a[v] * g.weights[v] for v in kept) == state[0], (algorithm, it)
+                checked[id(state)] = state, list(a)
 
         ec.run(algorithm, g, 5, ec.Termination(budget=2000), evaluator=ev, callback=check)
         assert len(ev._states) <= sizes[-1] + 2

@@ -6,6 +6,7 @@ grid (see tiny_lp_value2) before being frozen into assertions.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import evocover as ec
 from evocover.lp import DoubleCover
 from conftest import (dinic_cover_lp, dinic_lp2, make_instances, np_rng, random_genotype,
-                      tiny_lp_value2)
+                      scipy_lp2, tiny_lp_value2)
 
 
 def full_residual(g):
@@ -231,6 +232,20 @@ def assert_flow_state(g, cover, bits):
     assert cover.value2 == sum(used_sup) == sum(used_dem)
 
 
+def assert_certificate(g, cover, bits):
+    """If the flow carries a cover certificate, it is a feasible doubled
+    cover of ``bits``'s residual graph and weighs the flow value; returns
+    whether there is one."""
+    a = cover._cover()
+    if a is None:
+        return False
+    kept = [v for v in range(g.n) if not bits[v]]
+    assert all(a[v] in (0, 1, 2) for v in kept)
+    assert all(a[u] + a[v] >= 2 for u, v in g.edges if not (bits[u] or bits[v]))
+    assert sum(a[v] * g.weights[v] for v in kept) == cover.value2
+    return True
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(cover_edit_walks())
 def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
@@ -258,3 +273,53 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
         cover.load(state)
         assert_flow_state(g, cover, bits)
         assert cover.solve(bits.tolist(), []) == value
+
+
+@st.composite
+def local_edit_walks(draw):
+    """A gnp graph on about 40 vertices, past the brute-force range, and a
+    walk of one- and two-vertex edits, the edits the local search takes.
+
+    Each step is (vertices to flip, which saved state to reload first,
+    whether to reload one, whether to save the state after the solve, the
+    solve's limit or None).
+    """
+    n = draw(st.integers(36, 44))
+    g = ec.gnp(n, draw(st.sampled_from((0.05, 0.1, 0.2))), w_max=draw(st.sampled_from((1, 16))),
+               seed=draw(st.integers(0, 10 ** 6)))
+    steps = draw(st.lists(st.tuples(st.sets(st.integers(0, n - 1), min_size=1, max_size=2),
+                                    st.integers(0, 10 ** 6), st.booleans(), st.booleans(),
+                                    st.one_of(st.none(), st.integers(1, 500))),
+                          min_size=10, max_size=30))
+    return g, steps
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="needs scipy")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(local_edit_walks())
+def test_local_search_walks_match_dinic_and_scipy(walk):
+    # exact values must equal two cold oracles; a flow stopped at a limit
+    # carries no certificate, and one that does is a feasible cover that
+    # weighs the flow value, so the next solve's upper bound is sound
+    g, steps = walk
+    cover = DoubleCover(g)
+    bits = np.zeros(g.n, dtype=np.uint8)
+    saved = []
+    for flips, pick, reload, save, limit in steps:
+        if reload and saved:
+            state, bits = saved[pick % len(saved)]
+            cover.load(state)  # possibly a flow stopped at a limit
+        bits = bits.copy()
+        bits[sorted(flips)] ^= 1
+        value = cover.solve(bits.tolist(), sorted(flips), limit)
+        exact = dinic_lp2(g, bits)
+        assert exact == scipy_lp2(g, bits)
+        if limit is None or value < limit:
+            assert value == exact
+        else:
+            assert limit <= value <= exact
+        assert_flow_state(g, cover, bits)
+        if assert_certificate(g, cover, bits):
+            assert value == exact
+        if save:
+            saved.append((cover.state(), bits))
