@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log1p
+from math import ceil, log1p
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,64 +54,29 @@ def dominates_strong(a: Fitness, b: Fitness) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and a != b
 
 
-class _PowerFloors:
-    """floor(r^k) and floor(2 r^k) for r = (2n+1)/(2n) and k = 0, 1, ...
-
-    Both lists are non-decreasing; they grow on demand, doubling. An entry
-    is the floor of the float s * exp(E) with E = k * log1p(1/(2n)), whose
-    relative error, a few ulp times (E + 1), is far below 1e-13 while the
-    float is finite (E < 710). Only an entry within 1e-13 of an integer, or
-    past the float range, is floored exactly, from (2n+1)^k and (2n)^k.
-    """
-
-    __slots__ = ("_bn", "_bd", "_log", "floors")
-
-    def __init__(self, n: int):
-        self._bn, self._bd = 2 * n + 1, 2 * n
-        self._log = log1p(1 / (2 * n))
-        self.floors = {1: [1], 2: [2]}  # scale -> [floor(scale * r^k) for k]
-
-    def first_reaching(self, scale: int, target: int) -> int:
-        """Smallest k with floor(scale * r^k) >= target."""
-        table = self.floors[scale]
-        while table[-1] < target:
-            start = len(table)
-            for s, floors in self.floors.items():
-                with np.errstate(over="ignore", invalid="ignore"):  # inf is near
-                    x = s * np.exp(np.arange(start, 2 * start) * self._log)
-                    f = np.floor(x)
-                    near = ~(np.minimum(x - f, f + 1 - x) > 1e-13 * x)
-                new = np.where(near, 0, f).astype(np.int64).tolist()
-                for i in np.flatnonzero(near).tolist():
-                    k = start + i
-                    new[i] = s * self._bn ** k // self._bd ** k
-                floors += new
-        return bisect_left(table, target)
-
-
-_POWER_FLOORS: dict[int, _PowerFloors] = {}  # per n; pure, so shared by all callers
-
-
 def _min_power_reaching(n: int, num: int, den: int) -> int:
-    """Smallest k >= 0 with ((2n+1)/(2n))^k >= 1 + num/den, exactly, for den 1 or 2.
+    """Smallest k >= 0 with r^k >= 1 + num/den for r = (2n+1)/(2n), exactly.
 
-    r^k >= 1 + num/den holds iff den * r^k >= den + num, and as den + num is
-    an integer, iff floor(den * r^k) >= den + num: a lookup in the table of
-    floors for this n.
+    That k is ceil(x) for x = log(1 + num/den) / log(r). The float x is
+    within a few ulp, a relative ~1e-15; only when it lies within a relative
+    1e-13 of an integer k does the float not tell, and then r^k >= 1 +
+    num/den is decided in integers, as den (2n+1)^k >= (den + num) (2n)^k.
     """
     if num <= 0:
         return 0
-    floors = _POWER_FLOORS.get(n)
-    if floors is None:
-        floors = _POWER_FLOORS[n] = _PowerFloors(n)
-    return floors.first_reaching(den, den + num)
+    x = log1p(num / den) / log1p(1 / (2 * n))
+    k = round(x)
+    if abs(x - k) > 1e-13 * x:
+        return ceil(x)
+    return k if den * (2 * n + 1) ** k >= (den + num) * (2 * n) ** k else k + 1
 
 
 def box_index(fit: Fitness, n: int) -> BoxIndex:
     """Multiplicative box of a fitness vector, ratio 1 + 1/(2n) per axis.
 
     b1 covers the cost axis, b2 the LP axis; lp2 may be odd, so the LP-axis
-    target 1 + lp2/2 is compared in exact rational form.
+    target 1 + lp2/2 is compared in exact rational form. Each index comes
+    from one logarithm, checked in integers where the float cannot tell.
     """
     return BoxIndex(
         b1=_min_power_reaching(n, fit[0], 1),
@@ -197,12 +162,10 @@ class RngStream:
 class Individual:
     """A genotype with its cached objective values and derived data."""
 
-    __slots__ = ("bits", "key", "cost", "lp2", "ones", "uncovered", "graph", "box",
-                 "_alt_pvec")
+    __slots__ = ("key", "cost", "lp2", "ones", "uncovered", "graph", "box", "_alt_pvec")
 
-    def __init__(self, bits: np.ndarray, key: bytes, cost: int, lp2: int,
-                 ones: int, uncovered: int, graph: WeightedGraph | None):
-        self.bits = bits
+    def __init__(self, key: bytes, cost: int, lp2: int, ones: int, uncovered: int,
+                 graph: WeightedGraph | None):
         self.key = key
         self.cost = cost
         self.lp2 = lp2
@@ -211,6 +174,11 @@ class Individual:
         self.graph = graph
         self.box: BoxIndex | None = None
         self._alt_pvec: np.ndarray | None = None
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The genotype as a read-only uint8 array on the key's bytes."""
+        return np.frombuffer(self.key, np.uint8)
 
     @property
     def fitness(self) -> Fitness:
@@ -224,13 +192,6 @@ class Individual:
 
     def __repr__(self) -> str:  # debugging aid
         return f"Individual(cost={self.cost}, lp2={self.lp2}, ones={self.ones})"
-
-
-def _uncovered_ends(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
-    # both ends of each edge that bits leaves uncovered, from one gather per side
-    tails, heads = g._arcs
-    sel = bits.view(np.bool_)
-    return tails[~(sel[tails] | sel[heads])]
 
 
 class Evaluator:
@@ -271,7 +232,7 @@ class Evaluator:
         self._solved = bytes(g.n)  # key of the network's current flow
         self._states: dict[bytes, tuple] = {}  # key -> DoubleCover state
         # the parent of whole genotypes: never cached or solved, so no lp2
-        self._zero = Individual(None, self._solved, 0, None, 0, g.m, g)
+        self._zero = Individual(self._solved, 0, None, 0, g.m, g)
 
     def __len__(self) -> int:
         return len(self._cache) + len(self._bounded)
@@ -281,9 +242,8 @@ class Evaluator:
                  flips: list[int] | None = None) -> Individual:
         """Objectives of the child of ``parent`` that differs from it at the
         distinct positions ``flips``; ``bits`` is then ignored (pass None).
-        Without ``flips``, the objectives of the whole genotype ``bits``,
-        whose parent is 0^n. The child's array is made on a memo miss only,
-        read-only on the key's bytes.
+        Without ``flips``, the objectives of the whole genotype ``bits`` (a
+        0/1 sequence of length n, else ValueError), whose parent is 0^n.
 
         ``threshold(cost, ones)`` is the archive's smallest lp2 at which it
         is sure to reject the candidate, or None. With it, the returned lp2
@@ -291,7 +251,7 @@ class Evaluator:
         1, so it never reads as a cover); without it, lp2 is exact.
         """
         if flips is None:
-            parent, flips = self._zero, np.flatnonzero(bits).tolist()
+            parent, flips = self._zero, np.flatnonzero(as_genotype(bits, self.graph.n)).tolist()
         key = bytearray(parent.key)
         for v in flips:
             key[v] = 1 - key[v]  # bytes are 0 or 1
@@ -342,8 +302,7 @@ class Evaluator:
                     # stopped at 1 or more never reads as a cover
                     limit = max(limit, 1)
             lp2 = self._solve(key, sel, parent, flips, limit)
-        ind = Individual(np.frombuffer(key, np.uint8), key, cost, lp2, ones, uncovered,
-                         self.graph)
+        ind = Individual(key, cost, lp2, ones, uncovered, self.graph)
         if limit is not None and lp2 >= limit:
             self._bounded[key] = ind
         else:
@@ -381,8 +340,12 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 
 def _focused_pvec(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
+    # 1/n, and 1/2 at both ends of each edge that bits leaves uncovered,
+    # found with one gather per side over the edges listed both ways
+    tails, heads = g._arcs
+    sel = bits.view(np.bool_)
     pvec = np.full(g.n, 1.0 / g.n)
-    pvec[_uncovered_ends(g, bits)] = 0.5
+    pvec[tails[~(sel[tails] | sel[heads])]] = 0.5
     return pvec
 
 
@@ -397,7 +360,7 @@ def _flip_positions(rng: RngStream, n: int,
 
 def standard_mutation(x: Sequence[int] | np.ndarray, rng: RngStream) -> np.ndarray:
     """Flip each bit independently with probability 1/n."""
-    bits = np.array(x, dtype=np.uint8)
+    bits = as_genotype(x, len(x)).copy()
     bits[_flip_positions(rng, bits.size)] ^= 1
     return bits
 
@@ -702,7 +665,7 @@ def run(algorithm: str,
     dpbea_cap = 2 * (n + 1)
 
     best_cost: int | None = None
-    best_bits: np.ndarray | None = None
+    best_key: bytes | None = None
     hit0 = hitc = hitt = None
     violations = 0
 
@@ -712,7 +675,7 @@ def run(algorithm: str,
     if init.cost == 0:
         hit0 = 0
     if init.lp2 == 0:
-        best_cost, best_bits = init.cost, init.bits
+        best_cost, best_key = init.cost, init.key
         hitc = 0
         if ratio is not None and best_cost * tgt_den <= tgt_num:
             hitt = 0
@@ -746,7 +709,7 @@ def run(algorithm: str,
         if cand.cost == 0 and hit0 is None:
             hit0 = it
         if cand.lp2 == 0 and (best_cost is None or cand.cost < best_cost):
-            best_cost, best_bits = cand.cost, cand.bits
+            best_cost, best_key = cand.cost, cand.key
             if hitc is None:
                 hitc = it
             if ratio is not None and hitt is None and best_cost * tgt_den <= tgt_num:
@@ -772,7 +735,7 @@ def run(algorithm: str,
         iterations=it,
         max_archive=max_arch,
         best_cost=best_cost,
-        best_cover=None if best_bits is None else tuple(int(b) for b in best_bits),
+        best_cover=None if best_key is None else tuple(best_key),
         iters_to_zero_string=hit0,
         iters_to_cover=hitc,
         iters_to_target=hitt,

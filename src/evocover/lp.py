@@ -52,7 +52,7 @@ class DoubleCover:
     as three lists: the flow on each edge arc x_L -> y_R, each vertex's spare
     supply (residual of s -> x_L) and spare demand (residual of y_R -> t). A
     selected vertex has no supply, demand or flow, so the max-flow value is
-    2 * LP of the residual graph. A change of selection edits the flow:
+    2 * LP of the residual graph. Every solve edits the flow (``_edit``):
 
     * selecting v cancels the flow on v's edge arcs, returning each unit to
       the far endpoint's supply or demand, then zeroes v's supply and demand;
@@ -133,76 +133,65 @@ class DoubleCover:
         """
         cov = self._cover() if len(edits) <= self._local_edits else None
         self._box = None
-        if cov is None:  # the flow edit alone; _edit also edits the cover and keeps seeds
-            flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
-            value = self.value2
-            for v in edits:
-                if sel[v]:
-                    for a, y in self._out[v]:  # paths s -> v_L -> y_R -> t
-                        f = flow[a]
-                        if f:
-                            flow[a] = 0
-                            dem[y] += f
-                    for a, x in self._in[v]:  # paths s -> x_L -> v_R -> t
-                        f = flow[a]
-                        if f:
-                            flow[a] = 0
-                            sup[x] += f
-                    value -= 2 * w[v] - sup[v] - dem[v]
-                    sup[v] = dem[v] = 0
-                else:
-                    sup[v] = dem[v] = w[v]
-            target = limit
-        else:
+        if cov is not None:
             cov = list(cov)  # a stored state may hold the old one
-            value, upper, fwd, bwd = self._edit(cov, sel, edits)
-            target = upper if limit is None or upper < limit else limit
+        value, upper, fwd, bwd = self._edit(cov, sel, edits)
+        target = limit
+        if upper is not None:
+            if limit is None or upper < limit:
+                target = upper
             if value < target:
                 value = self._local(sel, fwd, bwd, value, target)
         if target is None or value < target:
             value += self._augment(sel, None if target is None else target - value)
         self.value2 = value
-        if cov is not None and value == upper:
+        if value == upper:
             self._box = [cov]
         return value
 
-    def _edit(self, cov: list[int], sel: list[int], edits: list[int]) -> tuple:
-        """Edit the flow as ``solve`` does, and its cover ``cov`` into a cover
-        of ``sel``'s residual graph. Returns the edited flow's value, the
-        cover's weight U >= 2 * LP, and the vertices whose spare supply, and
-        whose spare demand, rose."""
+    def _edit(self, cov: list[int] | None, sel: list[int], edits: list[int]) -> tuple:
+        """Edit the flow to ``sel``'s selection and, if given, its cover
+        ``cov`` into a cover of ``sel``'s residual graph. Returns the edited
+        flow's value and, with a cover only (else None and empty lists), the
+        cover's weight U >= 2 * LP and the vertices whose spare supply, and
+        whose spare demand, rose: the local searches' seeds."""
         flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
-        value = upper = self.value2
+        value = self.value2
+        upper = None if cov is None else value
         fwd, bwd = [], []
         fix = []  # vertices whose least feasible cover value may have dropped
         for v in edits:
-            c = cov[v]
             if sel[v]:
-                held = 2 - c if c < 2 else -1  # a[y] == held: v held a[y] up
-                for a, y in self._out[v]:
+                held = 0  # v held up each neighbour y at a[y] == held, if held
+                if cov is not None:
+                    held = 2 - cov[v]
+                    upper -= cov[v] * w[v]
+                for a, y in self._out[v]:  # paths s -> v_L -> y_R -> t
                     f = flow[a]
                     if f:
                         flow[a] = 0
                         dem[y] += f
-                        bwd.append(y)
-                    if cov[y] == held:
+                        if cov is not None:
+                            bwd.append(y)
+                    if held and cov[y] == held:
                         fix.append(y)
-                for a, x in self._in[v]:
+                for a, x in self._in[v]:  # paths s -> x_L -> v_R -> t
                     f = flow[a]
                     if f:
                         flow[a] = 0
                         sup[x] += f
-                        fwd.append(x)
+                        if cov is not None:
+                            fwd.append(x)
                 value -= 2 * w[v] - sup[v] - dem[v]
                 sup[v] = dem[v] = 0
-                upper -= c * w[v]
             else:
                 sup[v] = dem[v] = w[v]
-                upper += 2 * w[v]
-                cov[v] = 2
-                fwd.append(v)
-                bwd.append(v)
-                fix.append(v)
+                if cov is not None:
+                    upper += 2 * w[v]
+                    cov[v] = 2
+                    fix.append(v)
+                    fwd.append(v)
+                    bwd.append(v)
         for u in fix:
             c = cov[u]
             if c and not sel[u]:

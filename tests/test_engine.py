@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from conftest import dinic_lp2, make_instances, tiny_box_coord
 
 def mk(cost, lp2, ones=0):
     """Fabricated individual for archive-level tests."""
-    return ec.Individual(np.zeros(1, dtype=np.uint8), b"", cost, lp2, ones, 0, None)
+    return ec.Individual(b"", cost, lp2, ones, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,8 @@ def test_box_index_examples():
 
 
 def test_box_index_against_fraction_oracle():
-    # the tables grow from float powers, floored exactly near an integer;
-    # n = 1000 reaches powers (2n+1)^k of about 200 000 bits
+    # the closed form's float logarithm up to n = 1000, where the oracle's
+    # powers (2n+1)^k reach about 200 000 bits
     for n in (1, 2, 4, 7, 12, 33, 100, 300, 1000):
         for cost in (0, 1, 2, 5, 17, 100, 12345):
             assert ec.box_index(ec.Fitness(cost, 0), n).b1 == tiny_box_coord(Fraction(cost), n)
@@ -65,6 +66,24 @@ def test_box_index_against_fraction_oracle():
             assert ec.box_index(ec.Fitness(0, lp2), n).b2 == k
             if lp2 % 2 == 0:
                 assert ec.box_index(ec.Fitness(lp2 // 2, 0), n).b1 == k
+
+
+def test_box_index_decides_near_integer_powers_exactly():
+    # 1 + num/den just below and just above r^k, with r^k past 1e14: the
+    # float log ratio lands within 1e-13 of k, where only the integer
+    # comparison of powers tells k from k + 1
+    for n in (1, 2, 3, 7, 12):
+        log_r = math.log1p(1 / (2 * n))
+        first = math.ceil(math.log(1e14) / log_r)
+        for k in range(first, first + 4):
+            for den in (1, 2):
+                floor = den * (2 * n + 1) ** k // (2 * n) ** k  # < den * r^k
+                for num, want in ((floor - den, k), (floor - den + 1, k + 1)):
+                    x = math.log1p(num / den) / log_r
+                    assert round(x) == k and abs(x - k) <= 1e-13 * x
+                    assert tiny_box_coord(Fraction(num, den), n) == want
+                    fit = ec.Fitness(num, 0) if den == 1 else ec.Fitness(0, num)
+                    assert ec.box_index(fit, n)[den - 1] == want
 
 
 def test_demo_archive_capacity_matches_oracle():
@@ -145,6 +164,23 @@ def test_standard_mutation_deterministic():
     x = np.zeros(8, dtype=np.uint8)
     got = [ec.standard_mutation(x, ec.RngStream(123)).tolist() for _ in range(3)]
     assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("bits", [[1, 0], [1, 0, 2, 0, 0], [0, 1, 0, 1, 0, 1, 0]])
+def test_whole_genotype_of_wrong_length_or_entries_is_rejected(bits):
+    # on n = 5: a short genotype is not padded, a 2 is not read as 1, and a
+    # long one is a ValueError like the others
+    g = ec.gnp(5, 0.5, w_max=4, seed=1)
+    ev = ec.Evaluator(g)
+    with pytest.raises(ValueError):
+        ev.evaluate(np.array(bits, dtype=np.uint8))
+    assert len(ev) == 0
+    assert ev.evaluate([1, 0, 1, 0, 0]).key == bytes([1, 0, 1, 0, 0])
+
+
+def test_standard_mutation_rejects_entries_other_than_0_and_1():
+    with pytest.raises(ValueError):
+        ec.standard_mutation(np.array([1, 0, 2], dtype=np.uint8), ec.RngStream(0))
 
 
 def test_standard_mutation_flip_rate():
@@ -613,7 +649,7 @@ def flip_walks(draw):
 @given(flip_walks())
 def test_delta_evaluation_matches_full_evaluation(walk):
     # children given only as (parent, flips) are looked up by a key made
-    # from the parent's, and get an array only on a memo miss; parents are
+    # from the parent's, and read their array off that key; parents are
     # also picked among covers and genotypes never retained, whose children
     # are solved from another genotype's flow
     g, steps = walk
