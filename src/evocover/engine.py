@@ -478,14 +478,17 @@ class DpbeaArchive:
     Candidates always join their group; the group is then reduced to the two
     minimizers (which may coincide), kept as [argmin(2*cost+lp2)] or
     [argmin(2*cost+lp2), argmin(cost+lp2)]. Comparator ties favor incumbents.
+    ``members`` lists the groups by ascending ones count; a new or changed
+    group replaces its slice of it, found by bisecting the members' ones counts.
     """
 
     discipline = "dpbea"
 
-    __slots__ = ("members", "_groups", "max_group_size")
+    __slots__ = ("members", "_ones", "_groups", "max_group_size")
 
     def __init__(self):
         self.members: list[Individual] = []
+        self._ones: list[int] = []  # members[i].ones, for the bisect
         self._groups: dict[int, list[Individual]] = {}
         self.max_group_size = 0
 
@@ -499,19 +502,9 @@ class DpbeaArchive:
         m1, m2 = grp[0], grp[-1]
         return max(2 * (m1.cost - cost) + m1.lp2, m2.cost - cost + m2.lp2)
 
-    def _rebuild(self) -> None:
-        groups = self._groups
-        self.members = [ind for k in sorted(groups) for ind in groups[k]]
-
     def insert(self, cand: Individual) -> bool:
-        groups = self._groups
-        grp = groups.get(cand.ones)
-        if grp is None:
-            groups[cand.ones] = [cand]
-            self._rebuild()
-            if self.max_group_size < 1:
-                self.max_group_size = 1
-            return True
+        k = cand.ones
+        grp = self._groups.get(k, [])
         if cand in grp:  # (by identity) a member proposed again leaves it as is
             return False
         pool = grp + [cand]
@@ -526,12 +519,15 @@ class DpbeaArchive:
             if b < k2:
                 min2, k2 = y, b
         new_grp = [min1] if min2 is min1 else [min1, min2]
-        if new_grp[0] is grp[0] and new_grp[-1] is grp[-1]:
+        if grp and new_grp[0] is grp[0] and new_grp[-1] is grp[-1]:
             return False  # the candidate lost and the group is as it was
-        groups[cand.ones] = new_grp
+        self._groups[k] = new_grp
+        lo = bisect_left(self._ones, k)  # the group's slice of members
+        hi = lo + len(grp)
+        self.members[lo:hi] = new_grp
+        self._ones[lo:hi] = [k] * len(new_grp)
         if len(new_grp) > self.max_group_size:
             self.max_group_size = len(new_grp)
-        self._rebuild()
         return cand in new_grp
 
 

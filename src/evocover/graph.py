@@ -49,6 +49,21 @@ class WeightedGraph:
         u, v = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2).T
         return np.concatenate((u, v)), np.concatenate((v, u))
 
+    @cached_property
+    def _double_cover(self) -> tuple:
+        """(weights, tail, head, out, inn): the double cover's topology, read
+        only by every ``DoubleCover`` of this graph. Edge arc a runs tail[a]_L
+        -> head[a]_R, for both directions of every edge; out[x] lists x's
+        arcs as (a, y), and inn[y] as (a, x)."""
+        tail = [x for u, v in self.edges for x in (u, v)]
+        head = [y for u, v in self.edges for y in (v, u)]
+        out = [[] for _ in range(self.n)]
+        inn = [[] for _ in range(self.n)]
+        for a, (x, y) in enumerate(zip(tail, head)):
+            out[x].append((a, y))
+            inn[y].append((a, x))
+        return list(self.weights), tail, head, out, inn
+
 
 @dataclass(frozen=True)
 class ResidualGraph:
@@ -108,11 +123,14 @@ def build_graph(n: int, weights: Sequence[int], edges: Iterable[tuple[int, int]]
 # ---------------------------------------------------------------------------
 
 def as_genotype(x: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
-    """Coerce a 0/1 sequence to a uint8 bit array of length n."""
-    bits = np.asarray(x, dtype=np.uint8)
+    """Coerce a 0/1 sequence to a uint8 bit array of length n. Any entry
+    not equal to 0 or 1 is a ValueError, not cast; bools and 0.0/1.0 pass."""
+    bits = np.asarray(x)
     if bits.ndim != 1 or bits.size != n:
         raise ValueError(f"genotype length {bits.size} does not match n={n}")
-    if bits.size and bits.max() > 1:
+    if bits.dtype != np.uint8 and ((bits == 0) | (bits == 1)).all():
+        bits = bits.astype(np.uint8)
+    if bits.dtype != np.uint8 or bits.size and bits.max() > 1:
         raise ValueError("genotype entries must be 0 or 1")
     return bits
 

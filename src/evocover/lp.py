@@ -50,12 +50,14 @@ class DoubleCover:
 
     Every s-t path has three arcs, s -> x_L -> y_R -> t, so the flow is kept
     as three lists: the flow on each edge arc x_L -> y_R, each vertex's spare
-    supply (residual of s -> x_L) and spare demand (residual of y_R -> t). A
+    supply (residual of s -> x_L) and spare demand (residual of y_R -> t); the
+    arcs are built once per graph (``WeightedGraph._double_cover``). A
     selected vertex has no supply, demand or flow, so the max-flow value is
     2 * LP of the residual graph. Every solve edits the flow (``_edit``):
 
     * selecting v cancels the flow on v's edge arcs, returning each unit to
       the far endpoint's supply or demand, then zeroes v's supply and demand;
+      without a cover to edit, it scans v's arcs only while they carry flow;
     * deselecting v restores w(v) to both; the flow stays valid.
 
     A maximum flow carries a second certificate: a doubled half-integral
@@ -96,16 +98,8 @@ class DoubleCover:
 
     def __init__(self, g: WeightedGraph):
         n = g.n
-        self._w = list(g.weights)
-        # edge arc a runs _tail[a]_L -> _head[a]_R; both directions of every edge
-        self._tail = [x for u, v in g.edges for x in (u, v)]
-        self._head = [y for u, v in g.edges for y in (v, u)]
-        # x -> (a, y); the callers also walk these as the neighbour lists
-        self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self._in: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # y -> (a, x)
-        for a, (x, y) in enumerate(zip(self._tail, self._head)):
-            self._out[x].append((a, y))
-            self._in[y].append((a, x))
+        # read only; the callers also walk _out as the neighbour lists
+        self._w, self._tail, self._head, self._out, self._in = g._double_cover
         self._flow = [0] * len(self._tail)
         self._sup = list(self._w)
         self._dem = list(self._w)
@@ -154,37 +148,17 @@ class DoubleCover:
         ``cov`` into a cover of ``sel``'s residual graph. Returns the edited
         flow's value and, with a cover only (else None and empty lists), the
         cover's weight U >= 2 * LP and the vertices whose spare supply, and
-        whose spare demand, rose: the local searches' seeds."""
+        whose spare demand, rose: the local searches' seeds. Only a cover's
+        repair scans all of a selected v's arcs; else a side's scan ends once
+        its flow, w(v) less v's spare supply or demand, is cancelled."""
         flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
+        out, inn = self._out, self._in
         value = self.value2
         upper = None if cov is None else value
         fwd, bwd = [], []
         fix = []  # vertices whose least feasible cover value may have dropped
         for v in edits:
-            if sel[v]:
-                held = 0  # v held up each neighbour y at a[y] == held, if held
-                if cov is not None:
-                    held = 2 - cov[v]
-                    upper -= cov[v] * w[v]
-                for a, y in self._out[v]:  # paths s -> v_L -> y_R -> t
-                    f = flow[a]
-                    if f:
-                        flow[a] = 0
-                        dem[y] += f
-                        if cov is not None:
-                            bwd.append(y)
-                    if held and cov[y] == held:
-                        fix.append(y)
-                for a, x in self._in[v]:  # paths s -> x_L -> v_R -> t
-                    f = flow[a]
-                    if f:
-                        flow[a] = 0
-                        sup[x] += f
-                        if cov is not None:
-                            fwd.append(x)
-                value -= 2 * w[v] - sup[v] - dem[v]
-                sup[v] = dem[v] = 0
-            else:
+            if not sel[v]:
                 sup[v] = dem[v] = w[v]
                 if cov is not None:
                     upper += 2 * w[v]
@@ -192,11 +166,52 @@ class DoubleCover:
                     fix.append(v)
                     fwd.append(v)
                     bwd.append(v)
+                continue
+            if cov is None:
+                left = w[v] - sup[v]  # the flow v_L sends
+                if left:
+                    for a, y in out[v]:  # paths s -> v_L -> y_R -> t
+                        f = flow[a]
+                        if f:
+                            flow[a] = 0
+                            dem[y] += f
+                            left -= f
+                            if not left:
+                                break
+                left = w[v] - dem[v]  # the flow v_R takes
+                if left:
+                    for a, x in inn[v]:  # paths s -> x_L -> v_R -> t
+                        f = flow[a]
+                        if f:
+                            flow[a] = 0
+                            sup[x] += f
+                            left -= f
+                            if not left:
+                                break
+            else:
+                held = 2 - cov[v]  # v held up each neighbour y at a[y] == held, if held
+                upper -= cov[v] * w[v]
+                for a, y in out[v]:
+                    f = flow[a]
+                    if f:
+                        flow[a] = 0
+                        dem[y] += f
+                        bwd.append(y)
+                    if held and cov[y] == held:
+                        fix.append(y)
+                for a, x in inn[v]:
+                    f = flow[a]
+                    if f:
+                        flow[a] = 0
+                        sup[x] += f
+                        fwd.append(x)
+            value -= 2 * w[v] - sup[v] - dem[v]
+            sup[v] = dem[v] = 0
         for u in fix:
             c = cov[u]
             if c and not sel[u]:
                 low = 0  # the least a[u] that covers u's unselected edges
-                for _, z in self._out[u]:
+                for _, z in out[u]:
                     if not sel[z] and 2 - cov[z] > low:
                         low = 2 - cov[z]
                         if low == c:
@@ -291,7 +306,7 @@ class DoubleCover:
         while True:
             via_l = [-2] * n  # arc that reached x_L, -1 for a source
             via_r = [-1] * n  # arc that reached y_R
-            front = [x for x in range(n) if sup[x]]
+            front = list(itertools.compress(range(n), sup))
             for x in front:
                 via_l[x] = -1
             sinks = []

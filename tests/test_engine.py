@@ -945,6 +945,70 @@ def test_dpbea_members_match_a_rebuild_from_the_groups():
         ec.run("dpbea", g, seed, ec.Termination(budget=3000), callback=check)
 
 
+def _dpbea_reference_insert(groups, cand):
+    """The dpbea group rule on a dict of groups, written apart from the archive."""
+    grp = groups.get(cand.ones, [])
+    if any(m is cand for m in grp):
+        return False
+    pool = grp + [cand]
+    min1 = min(pool, key=lambda y: 2 * y.cost + y.lp2)  # min keeps the first: incumbents
+    min2 = min(pool, key=lambda y: y.cost + y.lp2)
+    new = [min1] if min2 is min1 else [min1, min2]
+    if grp and new[0] is grp[0] and new[-1] is grp[-1]:
+        return False
+    groups[cand.ones] = new
+    return any(m is cand for m in new)
+
+
+_DPBEA_OPS = st.lists(st.one_of(
+    st.tuples(st.just("new"), st.integers(0, 6), st.integers(0, 6), st.integers(0, 4)),
+    st.tuples(st.just("again"), st.integers(0, 10 ** 6)),  # a member proposed again
+    st.tuples(st.just("bounded"), st.integers(0, 6), st.integers(0, 4))),  # lp2 at the threshold
+    max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_DPBEA_OPS)
+def test_dpbea_members_and_threshold_match_the_sorted_groups(ops):
+    # small ranges give ties on both comparators; the archive splices each
+    # changed group into members, the oracle rebuilds members from scratch
+    arch, groups = ec.DpbeaArchive(), {}
+    for step, op in enumerate(ops):
+        if op[0] == "new":
+            cand = mk(op[1], op[2], ones=op[3])
+        elif op[0] == "again":
+            if not arch.members:
+                continue
+            cand = arch.members[op[1] % len(arch.members)]
+        else:
+            t = arch.threshold(op[1], op[2])
+            cand = mk(op[1], 0 if t is None else max(t, 0), ones=op[2])
+        expect = _dpbea_reference_insert(groups, cand)
+        assert arch.insert(cand) == expect, (step, op)
+        oracle = [m for k in sorted(groups) for m in groups[k]]
+        assert len(arch.members) == len(oracle), (step, op)
+        assert all(m is o for m, o in zip(arch.members, oracle)), (step, op)
+        for ones in range(5):
+            grp = groups.get(ones)
+            for cost in range(7):
+                want = None if grp is None else max(2 * (grp[0].cost - cost) + grp[0].lp2,
+                                                    grp[-1].cost - cost + grp[-1].lp2)
+                assert arch.threshold(cost, ones) == want, (step, op, cost, ones)
+
+
+def test_evaluators_on_one_graph_share_one_topology():
+    # the double cover's arcs are built once per graph, not per Evaluator
+    g = ec.gnp(30, 0.2, w_max=8, seed=4)
+    evs = [ec.Evaluator(g), ec.Evaluator(g)]
+    for ev in evs:
+        ev.evaluate(np.zeros(g.n, dtype=np.uint8))  # an LP solve makes the flow
+    topo = g._double_cover
+    for cover in (evs[0]._cover, evs[1]._cover, DoubleCover(g)):
+        assert (cover._w, cover._tail, cover._head, cover._out, cover._in) == topo
+        assert cover._out is topo[3] and cover._in is topo[4] and cover._tail is topo[1]
+    assert evs[0]._cover._flow is not evs[1]._cover._flow
+
+
 def test_zero_string_never_leaves_archive():
     # positive weights make the all-zeros genotype the unique cost minimizer,
     # so no discipline can ever evict it once it is in

@@ -71,6 +71,23 @@ def test_residual_rejects_length_mismatch(triangle):
         ec.residual(triangle, [0, 1])
 
 
+@pytest.mark.parametrize("x", [
+    [0.5, 1, 0],  # once read as 010
+    [1.7, 0, 0],  # once read as 100
+    np.array([256, 0, 0], dtype=np.int64),  # once wrapped to 000
+    [-1, 0, 0],  # once an OverflowError
+], ids=["half", "truncated", "wrapped", "negative"])
+def test_as_genotype_rejects_entries_other_than_0_and_1(x):
+    with pytest.raises(ValueError, match="0 or 1"):
+        ec.as_genotype(x, 3)
+
+
+def test_as_genotype_accepts_bools_and_exact_float_bits():
+    for x in ([True, False, True], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.int64)):
+        bits = ec.as_genotype(x, 3)
+        assert bits.dtype == np.uint8 and bits.tolist() == [1, 0, 1]
+
+
 def test_genotype_strings():
     bits = ec.genotype_from_string("0101", 4)
     assert bits.tolist() == [0, 1, 0, 1]

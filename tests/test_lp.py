@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import evocover as ec
@@ -215,24 +215,24 @@ def cover_edit_walks(draw):
     return ec.build_graph(n, weights, edges), steps
 
 
-def assert_flow_state(g, cover, bits):
+def assert_flow_state(g, cover, bits, where=""):
     """The flow lists form a valid flow of value ``value2`` on ``bits``'s selection."""
     used_sup = [0] * g.n
     used_dem = [0] * g.n
     for x, arcs in enumerate(cover._out):
         for a, y in arcs:
             f = cover._flow[a]
-            assert f >= 0 and (f == 0 or not (bits[x] or bits[y]))
+            assert f >= 0 and (f == 0 or not (bits[x] or bits[y])), f"{where}: flow on arc {a}"
             used_sup[x] += f
             used_dem[y] += f
     for v, w in enumerate(g.weights):
         cap = 0 if bits[v] else w
-        assert cover._sup[v] == cap - used_sup[v] >= 0
-        assert cover._dem[v] == cap - used_dem[v] >= 0
-    assert cover.value2 == sum(used_sup) == sum(used_dem)
+        assert cover._sup[v] == cap - used_sup[v] >= 0, f"{where}: supply of {v}"
+        assert cover._dem[v] == cap - used_dem[v] >= 0, f"{where}: demand of {v}"
+    assert cover.value2 == sum(used_sup) == sum(used_dem), f"{where}: flow value"
 
 
-def assert_certificate(g, cover, bits):
+def assert_certificate(g, cover, bits, where=""):
     """If the flow carries a cover certificate, it is a feasible doubled
     cover of ``bits``'s residual graph and weighs the flow value; returns
     whether there is one."""
@@ -240,10 +240,16 @@ def assert_certificate(g, cover, bits):
     if a is None:
         return False
     kept = [v for v in range(g.n) if not bits[v]]
-    assert all(a[v] in (0, 1, 2) for v in kept)
-    assert all(a[u] + a[v] >= 2 for u, v in g.edges if not (bits[u] or bits[v]))
-    assert sum(a[v] * g.weights[v] for v in kept) == cover.value2
+    assert all(a[v] in (0, 1, 2) for v in kept), f"{where}: certificate values"
+    assert all(a[u] + a[v] >= 2 for u, v in g.edges
+               if not (bits[u] or bits[v])), f"{where}: certificate infeasible"
+    assert sum(a[v] * g.weights[v] for v in kept) == cover.value2, f"{where}: certificate weight"
     return True
+
+
+def assert_topology_as_built(g):
+    """No solve changed the graph's shared double-cover topology."""
+    assert g._double_cover == ec.WeightedGraph(g.n, g.weights, g.edges)._double_cover
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -273,6 +279,7 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
         cover.load(state)
         assert_flow_state(g, cover, bits)
         assert cover.solve(bits.tolist(), []) == value
+    assert_topology_as_built(g)
 
 
 @st.composite
@@ -295,7 +302,10 @@ def local_edit_walks(draw):
 
 
 @pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="needs scipy")
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# no shrink phase: each example runs two oracles, and shrinking a failure
+# took minutes; the unshrunk example and the failing step are reported
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=(Phase.generate,))
 @given(local_edit_walks())
 def test_local_search_walks_match_dinic_and_scipy(walk):
     # exact values must equal two cold oracles; a flow stopped at a limit
@@ -305,7 +315,7 @@ def test_local_search_walks_match_dinic_and_scipy(walk):
     cover = DoubleCover(g)
     bits = np.zeros(g.n, dtype=np.uint8)
     saved = []
-    for flips, pick, reload, save, limit in steps:
+    for step, (flips, pick, reload, save, limit) in enumerate(steps):
         if reload and saved:
             state, bits = saved[pick % len(saved)]
             cover.load(state)  # possibly a flow stopped at a limit
@@ -313,13 +323,15 @@ def test_local_search_walks_match_dinic_and_scipy(walk):
         bits[sorted(flips)] ^= 1
         value = cover.solve(bits.tolist(), sorted(flips), limit)
         exact = dinic_lp2(g, bits)
-        assert exact == scipy_lp2(g, bits)
+        where = f"step {step}: flips {sorted(flips)}, limit {limit}"
+        assert exact == scipy_lp2(g, bits), f"{where}: Dinic and SciPy disagree"
         if limit is None or value < limit:
-            assert value == exact
+            assert value == exact, f"{where}: solved {value}, oracles {exact}"
         else:
-            assert limit <= value <= exact
-        assert_flow_state(g, cover, bits)
-        if assert_certificate(g, cover, bits):
-            assert value == exact
+            assert limit <= value <= exact, f"{where}: stopped at {value}, oracles {exact}"
+        assert_flow_state(g, cover, bits, where)
+        if assert_certificate(g, cover, bits, where):
+            assert value == exact, f"{where}: certified {value}, oracles {exact}"
         if save:
             saved.append((cover.state(), bits))
+    assert_topology_as_built(g)
