@@ -29,7 +29,7 @@ import numpy as np
 from .graph import WeightedGraph, as_genotype
 # solve_cover_lp is unused here but stays importable: the benchmark's tracer
 # (bench/tracing.py) wraps engine.solve_cover_lp by name.
-from .lp import DoubleCover, solve_cover_lp  # noqa: F401
+from .lp import DoubleCover, lp_value2, solve_cover_lp  # noqa: F401
 
 ALGORITHMS = ("gsemo", "gsemo-alt", "demo", "dpbea")
 
@@ -217,11 +217,15 @@ class Evaluator:
     the cache.
 
     A solve given the archive's ``threshold`` stops once the flow reaches
-    it, where the archive is sure to reject the candidate. Such a candidate's
-    lp2 is a lower bound, not exact: it is held in a second dict, apart from
-    the exact ``_cache``, and reused while it still meets the threshold of
-    the moment. Otherwise the genotype is solved again without a limit and
-    moves to ``_cache``, so no genotype is solved more than twice.
+    it, where the archive is sure to reject the candidate. Before loading or
+    editing the parent's flow, it tries ``DoubleCover.bound``: that flow,
+    edited locally into a feasible flow of the child's double cover, may
+    already reach the threshold, and then no flow is loaded or changed. Such
+    a candidate's lp2 is a lower bound, not exact: it is held in a second
+    dict, apart from the exact ``_cache``, and reused while it still meets
+    the threshold of the moment. Otherwise the genotype is solved again
+    without a limit and moves to ``_cache``, so no genotype is solved more
+    than twice.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -313,12 +317,16 @@ class Evaluator:
                limit: int | None) -> int:
         cover = self._cover  # made by the evaluation that asks for this solve
         solved = self._solved
-        if parent.key != solved:
-            state = self._states.get(parent.key)
-            if state is None:  # the flow is another genotype's: diff the keys
-                flips = [v for v, (a, b) in enumerate(zip(solved, key)) if a != b]
-            else:
-                cover.load(state)
+        state = None if parent.key == solved else self._states.get(parent.key)
+        if state is None and parent.key != solved:
+            # the flow is another genotype's: diff the keys
+            flips = [v for v, (a, b) in enumerate(zip(solved, key)) if a != b]
+        elif limit is not None:
+            value = cover.bound(state, sel, flips, limit)
+            if value >= limit:
+                return value  # no solve: the flow stays as it was
+        if state is not None:
+            cover.load(state)
         self._solved = key
         return cover.solve(sel, flips, limit)
 
@@ -634,7 +642,8 @@ def run(algorithm: str,
         callback: Callable[[int, Individual, bool, object], None] | None = None,
         ) -> RunTrace:
     """One run of the chosen algorithm; one iteration = one parent selection,
-    one mutation, one insertion attempt. Deterministic for a fixed seed."""
+    one mutation, one insertion attempt. Deterministic for a fixed seed.
+    A ratio target below LP(0^n), which no cover meets, needs a budget."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     ev = evaluator if evaluator is not None else Evaluator(g)
@@ -648,10 +657,15 @@ def run(algorithm: str,
 
     opt = termination.opt
     ratio = termination.target_ratio
+    budget = termination.budget
     if ratio is not None:
         tgt_num = ratio.numerator * opt
         tgt_den = ratio.denominator
-    budget = termination.budget
+        # no cover costs less than LP(0^n), so below it a budget-less run
+        # would never stop
+        if budget is None and 2 * tgt_num < lp_value2(g, [0] * n) * tgt_den:
+            raise ValueError(f"target {ratio} * opt {opt} is below the LP lower bound, "
+                             "so no cover meets it; give a budget or a larger opt")
     want_cover = termination.any_cover
     until_zero = termination.until_zero_string
 

@@ -91,6 +91,10 @@ class DoubleCover:
     its value is a lower bound on 2 * LP, and such a flow keeps no cover.
     The flow does not keep its selection: the caller owns it, and names
     what changed at each solve.
+
+    A lower bound needs no solve: ``bound`` values a feasible flow of an
+    edited selection, read off the current flow or a stored state without
+    loading or changing either. A caller whose limit it reaches is done.
     """
 
     __slots__ = ("value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head", "_out", "_in",
@@ -141,6 +145,63 @@ class DoubleCover:
         self.value2 = value
         if value == upper:
             self._box = [cov]
+        return value
+
+    def bound(self, state: tuple | None, sel: list[int], edits: list[int], limit: int) -> int:
+        """A lower bound on 2 * LP of the residual graph of ``sel``, from the
+        flow of ``state`` (None: the current flow); ``edits`` are the
+        positions where ``sel`` differs from that flow's selection. Reads
+        only the edited vertices and their neighbours, and changes nothing.
+
+        The bound is the value of a feasible flow of ``sel``'s double cover,
+        so it is at most the maximum, 2 * LP (weak duality): the old flow
+        less all flow through each newly selected v, 2w(v) - sup - dem (a
+        path through two of them is taken off twice, which only lowers the
+        bound), plus one-arc paths s -> v_L -> y_R -> t and s -> y_L -> v_R
+        -> t from each newly deselected v, within w(v) per side, to each
+        neighbour y unselected in ``sel``, on y's spare supply or demand in
+        the old flow, which these paths take at most once. A y selected in
+        the old flow has no spare there. It stops adding paths once it
+        reaches ``limit``.
+        """
+        if state is None:
+            value, sup, dem = self.value2, self._sup, self._dem
+        else:
+            value, _, sup, dem, _ = state
+        w = self._w
+        freed = []
+        for v in edits:
+            if sel[v]:
+                value -= 2 * w[v] - sup[v] - dem[v]
+            else:
+                freed.append(v)
+        if value >= limit or not freed:
+            return value
+        out = self._out
+        left_sup, left_dem = {}, {}  # spare of a neighbour some path took
+        for v in freed:
+            room_l = room_r = w[v]  # v_L's supply and v_R's demand left
+            for _, y in out[v]:
+                if sel[y]:
+                    continue
+                if room_l:
+                    d = left_dem.get(y, dem[y])
+                    if d:
+                        f = d if d < room_l else room_l
+                        left_dem[y] = d - f
+                        room_l -= f
+                        value += f
+                if room_r:
+                    s = left_sup.get(y, sup[y])
+                    if s:
+                        f = s if s < room_r else room_r
+                        left_sup[y] = s - f
+                        room_r -= f
+                        value += f
+                if value >= limit:
+                    return value
+                if not (room_l or room_r):
+                    break
         return value
 
     def _edit(self, cov: list[int] | None, sel: list[int], edits: list[int]) -> tuple:

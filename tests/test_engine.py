@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import evocover as ec
@@ -530,6 +530,25 @@ def test_run_edgeless_ratio_one_hits_at_zero_string():
         assert tr.best_cost == 0
 
 
+def test_unreachable_ratio_target_without_budget_is_rejected():
+    # no cover costs less than LP(0^n): a ratio target below it, with no
+    # budget, would never stop; with a budget, or a reachable target, it runs
+    g = ec.gnp(12, 0.4, w_max=16, seed=1)
+    lp2 = ec.lp_value2(g, [0] * g.n)
+    for ratio, opt in ((Fraction(1), (lp2 - 1) // 2), (Fraction(5, 4), 2 * lp2 // 5 - 1)):
+        assert 2 * ratio * opt < lp2
+        with pytest.raises(ValueError, match="below the LP lower bound"):
+            ec.run("gsemo", g, 1, ec.Termination(target_ratio=ratio, opt=opt))
+        tr = ec.run("gsemo", g, 1, ec.Termination(budget=200, target_ratio=ratio, opt=opt))
+        assert tr.censored and tr.iterations == 200
+    opt = ec.opt_exhaustive(g).opt_cost
+    for algorithm in ec.ALGORITHMS:
+        tr = ec.run(algorithm, g, 1, ec.Termination(target_ratio=Fraction(5, 4), opt=opt))
+        assert not tr.censored and 4 * tr.best_cost <= 5 * opt
+        assert tr == ec.run(algorithm, g, 1, ec.Termination(
+            budget=tr.iterations, target_ratio=Fraction(5, 4), opt=opt))
+
+
 def test_run_single_edge_all_seeds_find_optimum():
     g = ec.build_graph(2, [1, 1], [(0, 1)])
     ev = ec.Evaluator(g)
@@ -600,7 +619,11 @@ def graph_walks(draw):
     return g, steps
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# no shrink phase (here and in the flip walks below): each example runs
+# cold oracles, and shrinking a failure took minutes; the unshrunk example
+# is reported
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          phases=(Phase.generate,))
 @given(graph_walks())
 def test_warm_lp_matches_cold_dinic_and_brute_force(walk):
     g, steps = walk
@@ -645,7 +668,8 @@ def flip_walks(draw):
     return g, steps
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          phases=(Phase.generate,))
 @given(flip_walks())
 def test_delta_evaluation_matches_full_evaluation(walk):
     # children given only as (parent, flips) are looked up by a key made
@@ -778,6 +802,72 @@ def test_stopped_searches_leave_runs_unchanged():
                 exact = ec.run(algorithm, g, seed, term, record_series=True,
                                evaluator=_ExactEvaluator(g))
                 assert fast == exact, (g.n, algorithm, seed)
+
+
+def test_bound_answered_evaluations_leave_the_flow_alone(monkeypatch):
+    # a child whose bound reaches the threshold is answered with no load or
+    # solve: the flow lists, value, certificate box, solved key and stored
+    # states stay as they were, and its lp2 lies between the limit and the
+    # exact value
+    solves = [0]
+    real_solve = DoubleCover.solve
+
+    def counted_solve(self, *args):
+        solves[0] += 1
+        return real_solve(self, *args)
+
+    monkeypatch.setattr(DoubleCover, "solve", counted_solve)
+
+    class CheckedEvaluator(ec.Evaluator):
+        answered = 0
+
+        def _solve(self, key, sel, parent, flips, limit):
+            cover = self._cover
+            before = cover.state(), self._solved, dict(self._states)
+            count = solves[0]
+            lp2 = super()._solve(key, sel, parent, flips, limit)
+            if solves[0] == count:
+                self.answered += 1
+                state, solved, states = before
+                assert cover.state()[:4] == state[:4] and cover._box is state[4]
+                assert self._solved == solved
+                assert self._states.keys() == states.keys()
+                assert all(self._states[k] is v for k, v in states.items())
+                exact = dinic_lp2(self.graph, np.frombuffer(key, np.uint8))
+                assert max(limit, 1) <= lp2 <= exact
+            return lp2
+
+    for g, seeds in ((ec.gnp(24, 0.25, w_max=16, seed=2), (1,)),
+                     (ec.gnp(12, 0.4, w_max=16, seed=1), (1, 2))):
+        for algorithm in ec.ALGORITHMS:
+            ev = CheckedEvaluator(g)
+            for seed in seeds:
+                ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev)
+            assert ev.answered > 0, (g.n, algorithm)
+
+
+def test_bound_changes_no_trace(monkeypatch):
+    # with the bound never reaching the limit every stopped solve runs, and
+    # the four loops trace exactly as with it
+    fired = {}
+    real_bound = DoubleCover.bound
+
+    def counted_bound(self, state, sel, edits, limit):
+        value = real_bound(self, state, sel, edits, limit)
+        fired[algorithm] = fired.get(algorithm, 0) + (value >= limit)
+        return value
+
+    for g, budget in ((ec.gnp(24, 0.25, w_max=16, seed=2), 3000),
+                      (ec.gnp(12, 0.4, w_max=16, seed=1), 2000)):
+        for algorithm in ec.ALGORITHMS:
+            for seed in (1, 2):
+                term = ec.Termination(budget=budget)
+                monkeypatch.setattr(DoubleCover, "bound", counted_bound)
+                fast = ec.run(algorithm, g, seed, term, record_series=True)
+                monkeypatch.setattr(DoubleCover, "bound", lambda self, *args: args[-1] - 1)
+                slow = ec.run(algorithm, g, seed, term, record_series=True)
+                assert fast == slow, (g.n, algorithm, seed)
+    assert all(fired[algorithm] > 0 for algorithm in ec.ALGORITHMS), fired
 
 
 # RunTraces of the four loops on gnp(30, 0.2, w_max=16, seed=4), OPT 155,

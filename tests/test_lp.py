@@ -283,6 +283,73 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
 
 
 @st.composite
+def bound_walks(draw):
+    """A graph on <= 12 vertices (edgeless allowed) and a walk of solves on
+    it, each preceded by a bound of the same edit.
+
+    Each step is (vertices to flip, kind, vertex pick, which saved state to
+    start from, whether to start from the live flow instead, the limit or
+    None, whether to save the state after the solve). Kind "edge" also
+    flips both ends of an edge; kind "share" also deselects every selected
+    neighbour of one vertex, so the deselected vertices share a neighbour.
+    """
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, present) if keep]
+    weights = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.sets(st.integers(0, n - 1), max_size=4),
+                                    st.sampled_from(("set", "edge", "share")),
+                                    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                    st.booleans(), st.none() | st.integers(1, 200),
+                                    st.booleans()),
+                          min_size=4, max_size=30))
+    return ec.build_graph(n, weights, edges), steps
+
+
+# no shrink phase: each step runs the cold oracle, and a shrinking failure
+# reruns the walk many times; the unshrunk example and the step are reported
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          phases=(Phase.generate,))
+@given(bound_walks())
+def test_bound_is_a_lower_bound_and_reads_no_more_than_it_changes(walk):
+    # from the live flow or a stored one, maximum or stopped at a limit, the
+    # bound is at most the cold Dinic value of the edited selection, and
+    # leaves the flow it reads as it was
+    g, steps = walk
+    cover = DoubleCover(g)
+    bits = np.zeros(g.n, dtype=np.uint8)
+    nbrs = [[y for _, y in arcs] for arcs in cover._out]
+    saved = []
+    for step, (flips, kind, pick, which, live, limit, save) in enumerate(steps):
+        state, old = (None, bits) if live or not saved else saved[which % len(saved)]
+        flips = set(flips)
+        if kind == "edge" and g.edges:
+            flips |= set(g.edges[pick % g.m])
+        elif kind == "share":
+            flips |= {y for y in nbrs[pick % g.n] if old[y]}
+        if not flips:
+            continue
+        child = old.copy()
+        child[sorted(flips)] ^= 1
+        where = f"step {step}: {'live' if state is None else 'stored'}, flips {sorted(flips)}"
+        before = cover.state()
+        cap = 2 * sum(g.weights) + 1 if limit is None else limit
+        value = cover.bound(state, child.tolist(), sorted(flips), cap)
+        exact = dinic_lp2(g, child)
+        assert value <= exact, f"{where}: bound {value}, oracle {exact}"
+        assert cover.state()[:4] == before[:4] and cover._box is before[4], where
+        if state is not None:
+            cover.load(state)
+        value = cover.solve(child.tolist(), sorted(flips), limit)
+        if limit is None or value < limit:
+            assert value == exact, f"{where}: solved {value}, oracle {exact}"
+        bits = child
+        if save:
+            saved.append((cover.state(), bits))
+
+
+@st.composite
 def local_edit_walks(draw):
     """A gnp graph on about 40 vertices, past the brute-force range, and a
     walk of one- and two-vertex edits, the edits the local search takes.
