@@ -209,23 +209,27 @@ class Evaluator:
     from 0^n. No uncovered edge means a cover, and no LP.
 
     LP values come from one ``DoubleCover`` flow per graph, created when
-    first needed. A child is solved from its parent's maximum flow when the
-    parent's residual state is stored, with the flipped positions as the
-    edits; else from the last flow solved, with the positions where the two
-    keys differ. States are stored only for archive members (see
-    ``retain``), so they take memory in proportion to the archive, not to
-    the cache.
+    first needed. A child is solved from its parent's maximum flow, with the
+    flipped positions as the edits, when that flow is known: the parent was
+    the last genotype solved, its residual state is stored, or it is a
+    cover, whose maximum flow is the empty one (built on demand, never
+    stored). Otherwise it is solved from the last flow solved, with the
+    positions where the two keys differ. States are stored only for archive
+    members (see ``retain``), so they take memory in proportion to the
+    archive, not to the cache.
 
     A solve given the archive's ``threshold`` stops once the flow reaches
-    it, where the archive is sure to reject the candidate. Before loading or
-    editing the parent's flow, it tries ``DoubleCover.bound``: that flow,
-    edited locally into a feasible flow of the child's double cover, may
-    already reach the threshold, and then no flow is loaded or changed. Such
-    a candidate's lp2 is a lower bound, not exact: it is held in a second
-    dict, apart from the exact ``_cache``, and reused while it still meets
-    the threshold of the moment. Otherwise the genotype is solved again
-    without a limit and moves to ``_cache``, so no genotype is solved more
-    than twice.
+    it, where the archive is sure to reject the candidate. When the
+    parent's flow is known, it first tries ``DoubleCover.bound``: that
+    flow, edited locally into a feasible flow of the child's double cover,
+    may already reach the threshold, and then no flow is loaded or changed.
+    Such a candidate's lp2 is a lower bound, not exact: it is held in a
+    second dict, apart from the exact ``_cache``, and reused while it still
+    meets the threshold of the moment. Otherwise the genotype is solved
+    again without a limit and moves to ``_cache``, so no genotype is solved
+    more than twice. A bound and a stopped solve may leave different lower
+    bounds, so the bound can change which later solves run and from which
+    flow, but never an archive decision.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -318,6 +322,8 @@ class Evaluator:
         cover = self._cover  # made by the evaluation that asks for this solve
         solved = self._solved
         state = None if parent.key == solved else self._states.get(parent.key)
+        if state is None and parent.key != solved and not parent.uncovered:
+            state = cover.cover_state(parent.key)  # a cover's flow is known
         if state is None and parent.key != solved:
             # the flow is another genotype's: diff the keys
             flips = [v for v, (a, b) in enumerate(zip(solved, key)) if a != b]

@@ -23,6 +23,7 @@ bound; it falls back to the global search rounds otherwise.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,6 +32,7 @@ import numpy as np
 from .graph import ResidualGraph, WeightedGraph, residual
 
 BRUTE_FORCE_LIMIT = 14
+_UNSELECTED = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 key's complement
 
 
 class InstanceTooLargeError(ValueError):
@@ -95,6 +97,7 @@ class DoubleCover:
     A lower bound needs no solve: ``bound`` values a feasible flow of an
     edited selection, read off the current flow or a stored state without
     loading or changing either. A caller whose limit it reaches is done.
+    A cover's maximum flow needs no solve either: ``cover_state`` builds it.
     """
 
     __slots__ = ("value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head", "_out", "_in",
@@ -155,14 +158,17 @@ class DoubleCover:
 
         The bound is the value of a feasible flow of ``sel``'s double cover,
         so it is at most the maximum, 2 * LP (weak duality): the old flow
-        less all flow through each newly selected v, 2w(v) - sup - dem (a
-        path through two of them is taken off twice, which only lowers the
-        bound), plus one-arc paths s -> v_L -> y_R -> t and s -> y_L -> v_R
-        -> t from each newly deselected v, within w(v) per side, to each
+        less all flow through each newly selected v, 2w(v) - sup - dem, with
+        the flow on each arc between two of them, taken off at both ends,
+        added back once; that is the old flow on the arcs whose ends are
+        both unselected in ``sel``, the value the edit of a solve starts
+        from. Then one-arc paths s -> v_L -> y_R -> t and s -> y_L -> v_R ->
+        t from each newly deselected v, within w(v) per side, to each
         neighbour y unselected in ``sel``, on y's spare supply or demand in
         the old flow, which these paths take at most once. A y selected in
-        the old flow has no spare there. It stops adding paths once it
-        reaches ``limit``.
+        the old flow has no spare there. It returns as soon as the value
+        reaches ``limit``, before adding back cancelled flow or paths, so a
+        value at or above ``limit`` may lie below the edited flow's.
         """
         if state is None:
             value, sup, dem = self.value2, self._sup, self._dem
@@ -175,9 +181,28 @@ class DoubleCover:
                 value -= 2 * w[v] - sup[v] - dem[v]
             else:
                 freed.append(v)
-        if value >= limit or not freed:
+        if value >= limit:
             return value
         out = self._out
+        if len(edits) - len(freed) > 1:
+            # flow on v_L -> y_R means both ends were unselected in the old
+            # flow, so a y selected in sel is newly selected
+            flow = self._flow if state is None else state[1]
+            for v in edits:
+                left = sel[v] and w[v] - sup[v]  # the flow a newly selected v_L sends
+                if left:
+                    for a, y in out[v]:
+                        f = flow[a]
+                        if f:
+                            if sel[y]:
+                                value += f
+                                if value >= limit:
+                                    return value
+                            left -= f
+                            if not left:
+                                break
+        if not freed:
+            return value
         left_sup, left_dem = {}, {}  # spare of a neighbour some path took
         for v in freed:
             room_l = room_r = w[v]  # v_L's supply and v_R's demand left
@@ -430,6 +455,16 @@ class DoubleCover:
         """The current flow value, copies of the flow lists, and the cover
         certificate's box (a solve never changes a cover in place)."""
         return self.value2, self._flow[:], self._sup[:], self._dem[:], self._box
+
+    def cover_state(self, key: bytes) -> tuple:
+        """The maximum flow of a cover ``key`` (0/1 bytes), as ``state``
+        returns it, with no solve: the cover's residual graph has no edge,
+        so the flow is zero, each unselected vertex keeps its full supply
+        and demand, and the all-zero cover is the certificate. O(n + m)."""
+        spare = list(map(operator.mul, self._w, key.translate(_UNSELECTED)))
+        # a state's lists are only read (``load`` copies them), so supply
+        # and demand may share one
+        return 0, [0] * len(self._tail), spare, spare, [[0] * len(spare)]
 
     def load(self, state: tuple) -> None:
         """Make a state returned by ``state`` current again; its selection

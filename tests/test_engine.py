@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import evocover as ec
 from evocover.lp import DoubleCover
-from conftest import dinic_lp2, make_instances, tiny_box_coord
+from conftest import dinic_lp2, make_instances, np_rng, random_genotype, tiny_box_coord
 
 
 def mk(cost, lp2, ones=0):
@@ -868,6 +868,77 @@ def test_bound_changes_no_trace(monkeypatch):
                 slow = ec.run(algorithm, g, seed, term, record_series=True)
                 assert fast == slow, (g.n, algorithm, seed)
     assert all(fired[algorithm] > 0 for algorithm in ec.ALGORITHMS), fired
+
+
+@pytest.mark.parametrize("n, p, seed", [(24, 0.25, 2), (12, 0.4, 1)])
+def test_children_of_a_cover_start_from_its_empty_flow(monkeypatch, n, p, seed):
+    # a cover is never solved and has no stored state, but its residual
+    # graph has no edge, so its maximum flow is the empty one: its children
+    # are bounded and solved from that, with their own flips as the edits,
+    # not the positions where their keys differ from the last flow's, as
+    # for a parent that is no cover and has no known flow. On n >= 16 up to
+    # three flips take the local search, more the rounds.
+    g = ec.gnp(n, p, w_max=16, seed=seed)
+    edits = []
+    real_solve = DoubleCover.solve
+
+    def recorded_solve(self, sel, changed, limit=None):
+        edits.append(list(changed))
+        return real_solve(self, sel, changed, limit)
+
+    monkeypatch.setattr(DoubleCover, "solve", recorded_solve)
+    rng = np_rng(seed)
+    ev = ec.Evaluator(g)
+    seen = {"exact": 0, "answered": 0, "stopped": 0, "diffed": 0}
+    other = None
+    for case in range(120):
+        if other is not None and other.uncovered and other.key != ev._solved:
+            flips = [int(rng.integers(n))]
+            child = other.bits.copy()
+            child[flips] ^= 1
+            key = child.tobytes()
+            if not (key in ev._cache or key in ev._bounded
+                    or all(child[u] or child[v] for u, v in g.edges)):
+                seen["diffed"] += 1
+                diff = [v for v in range(n) if key[v] != ev._solved[v]]
+                assert ev.evaluate(None, other, None, flips).lp2 == dinic_lp2(g, child), case
+                assert edits[-1] == diff, case
+        other = ev.evaluate(random_genotype(n, rng))  # the flow is some other genotype's
+        bits = random_genotype(n, rng)
+        for u, v in g.edges:
+            if not (bits[u] or bits[v]):
+                bits[u if rng.random() < 0.5 else v] = 1
+        parent = ev.evaluate(bits)
+        assert parent.uncovered == 0 and parent.lp2 == 0
+        flips = sorted(rng.choice(n, size=1 + case % 5, replace=False).tolist())
+        child = bits.copy()
+        child[flips] ^= 1
+        if (ev._solved == parent.key or child.tobytes() in ev._cache
+                or all(child[u] or child[v] for u, v in g.edges)):
+            continue
+        exact = dinic_lp2(g, child)
+        limit = (None, exact + 1, int(rng.integers(1, exact + 1)))[case % 3]
+        before = ev._cover.state(), ev._solved, dict(ev._states)
+        count = len(edits)
+        ind = ev.evaluate(None, parent, None if limit is None else lambda c, o: limit, flips)
+        where = case, flips, limit
+        assert parent.key not in ev._states, where
+        if len(edits) == count:
+            seen["answered"] += 1
+            state, solved, states = before
+            assert limit is not None and limit <= ind.lp2 <= exact, where
+            assert ev._cover.state()[:4] == state[:4] and ev._cover._box is state[4], where
+            assert ev._solved == solved and ev._states == states, where
+            continue
+        assert edits[count:] == [flips], where
+        assert ev._solved == ind.key, where
+        if limit is None or ind.lp2 < limit:
+            seen["exact"] += 1
+            assert ind.lp2 == exact, where
+        else:
+            seen["stopped"] += 1
+            assert limit <= ind.lp2 <= exact, where
+    assert min(seen.values()) > 0, seen
 
 
 # RunTraces of the four loops on gnp(30, 0.2, w_max=16, seed=4), OPT 155,

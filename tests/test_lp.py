@@ -314,8 +314,10 @@ def bound_walks(draw):
 @given(bound_walks())
 def test_bound_is_a_lower_bound_and_reads_no_more_than_it_changes(walk):
     # from the live flow or a stored one, maximum or stopped at a limit, the
-    # bound is at most the cold Dinic value of the edited selection, and
-    # leaves the flow it reads as it was
+    # bound is at most the cold Dinic value of the edited selection and at
+    # least the old flow on the arcs whose ends the edit leaves unselected
+    # (flow through two newly selected vertices is cancelled once), or at
+    # least the limit, and leaves the flow it reads as it was
     g, steps = walk
     cover = DoubleCover(g)
     bits = np.zeros(g.n, dtype=np.uint8)
@@ -337,7 +339,10 @@ def test_bound_is_a_lower_bound_and_reads_no_more_than_it_changes(walk):
         cap = 2 * sum(g.weights) + 1 if limit is None else limit
         value = cover.bound(state, child.tolist(), sorted(flips), cap)
         exact = dinic_lp2(g, child)
-        assert value <= exact, f"{where}: bound {value}, oracle {exact}"
+        kept = sum(f for f, x, y in zip(before[1] if state is None else state[1],
+                                        cover._tail, cover._head) if not (child[x] or child[y]))
+        assert min(kept, cap) <= value <= exact, (
+            f"{where}: bound {value}, kept flow {kept}, oracle {exact}")
         assert cover.state()[:4] == before[:4] and cover._box is before[4], where
         if state is not None:
             cover.load(state)
