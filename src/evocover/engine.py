@@ -407,8 +407,6 @@ def alternative_mutation(g: WeightedGraph, x: Sequence[int] | np.ndarray,
 class SemoArchive:
     """Pareto archive: reject weakly dominated candidates, evict the dominated."""
 
-    discipline = "semo"
-
     __slots__ = ("members", "_costs")
 
     def __init__(self):
@@ -417,72 +415,64 @@ class SemoArchive:
 
     def threshold(self, cost: int, ones: int) -> int | None:
         """The lp2 of the member with the largest cost <= ``cost``: at or above
-        it, that member weakly dominates the candidate."""
+        it, that member weakly dominates the candidate. (For demo, it strongly
+        dominates the candidate, or has its fitness and so wins their box tie.)"""
         i = bisect_right(self._costs, cost)
         return self.members[i - 1].lp2 if i else None
 
     def insert(self, cand: Individual) -> bool:
-        members, costs = self.members, self._costs
-        i = bisect_right(costs, cand.cost)
-        if i and members[i - 1].lp2 <= cand.lp2:
+        i = bisect_right(self._costs, cand.cost)
+        if i and self.members[i - 1].lp2 <= cand.lp2:
             return False  # weakly dominated (equality included)
+        self._place(cand)
+        return True
+
+    def _place(self, cand: Individual) -> list[Individual]:
+        """Evict the members ``cand`` weakly dominates, insert it in cost
+        order, and return the evicted."""
+        members, costs = self.members, self._costs
         j = bisect_left(costs, cand.cost)
         k = j
         while k < len(members) and members[k].lp2 >= cand.lp2:
             k += 1
-        del members[j:k]
-        del costs[j:k]
-        members.insert(j, cand)
-        costs.insert(j, cand.cost)
-        return True
+        evicted = members[j:k]
+        members[j:k] = [cand]
+        costs[j:k] = [cand.cost]
+        return evicted
 
 
-class DemoArchive:
+class DemoArchive(SemoArchive):
     """Boxed archive: reject on strong dominance or on losing a box tie."""
 
-    discipline = "demo"
-
-    __slots__ = ("n", "members", "_costs", "_by_box")
+    __slots__ = ("n", "_by_box")
 
     def __init__(self, n: int):
+        super().__init__()
         self.n = n
-        self.members: list[Individual] = []
-        self._costs: list[int] = []
         self._by_box: dict[BoxIndex, Individual] = {}
-
-    # At or above that lp2, the member strongly dominates the candidate, or
-    # has its fitness and so wins the tie of their common box.
-    threshold = SemoArchive.threshold
 
     def insert(self, cand: Individual) -> bool:
         if cand.box is None:
             cand.box = box_index((cand.cost, cand.lp2), self.n)
-        mate = self._by_box.get(cand.box)
+        by_box = self._by_box
+        mate = by_box.get(cand.box)
         if mate is not None and mate.cost + mate.lp2 <= cand.cost + cand.lp2:
             return False
-        members, costs = self.members, self._costs
-        i = bisect_right(costs, cand.cost)
+        i = bisect_right(self._costs, cand.cost)
         if i:
-            y = members[i - 1]
+            y = self.members[i - 1]
             if y.lp2 <= cand.lp2 and (y.cost != cand.cost or y.lp2 != cand.lp2):
                 return False  # strongly dominated
-        j = bisect_left(costs, cand.cost)
-        k = j
-        while k < len(members) and members[k].lp2 >= cand.lp2:
-            del self._by_box[members[k].box]
-            k += 1
-        del members[j:k]
-        del costs[j:k]
-        mate = self._by_box.get(cand.box)
+        for y in self._place(cand):
+            del by_box[y.box]
+        # a mate still here lost the box tie, and its cost is not cand's: a
+        # mate of cand's cost with a lower lp2 would have rejected cand, and
+        # one with no lower lp2 was just evicted
+        mate = by_box.get(cand.box)
         if mate is not None:
-            idx = bisect_left(costs, mate.cost)
-            del members[idx]
-            del costs[idx]
-            del self._by_box[cand.box]
-        j = bisect_left(costs, cand.cost)
-        members.insert(j, cand)
-        costs.insert(j, cand.cost)
-        self._by_box[cand.box] = cand
+            i = bisect_left(self._costs, mate.cost)
+            del self.members[i], self._costs[i]
+        by_box[cand.box] = cand
         return True
 
 
@@ -495,8 +485,6 @@ class DpbeaArchive:
     ``members`` lists the groups by ascending ones count; a new or changed
     group replaces its slice of it, found by bisecting the members' ones counts.
     """
-
-    discipline = "dpbea"
 
     __slots__ = ("members", "_ones", "_groups", "max_group_size")
 
@@ -649,7 +637,9 @@ def run(algorithm: str,
         ) -> RunTrace:
     """One run of the chosen algorithm; one iteration = one parent selection,
     one mutation, one insertion attempt. Deterministic for a fixed seed.
-    A ratio target below LP(0^n), which no cover meets, needs a budget."""
+    Iteration 0 inserts the random initial genotype; ``callback`` is called
+    after each later one. A ratio target below LP(0^n), which no cover
+    meets, needs a budget."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     ev = evaluator if evaluator is not None else Evaluator(g)
@@ -675,28 +665,22 @@ def run(algorithm: str,
     want_cover = termination.any_cover
     until_zero = termination.until_zero_string
 
-    gsemo_cap = (2 * opt + 1) if opt is not None else None
-    demo_cap = (demo_archive_capacity(n, g.w_max)
-                if check_bounds and algorithm == "demo" else None)
-    dpbea_cap = 2 * (n + 1)
+    # the archive size bound that check_bounds counts violations of
+    cap = None
+    if check_bounds:
+        if algorithm == "demo":
+            cap = demo_archive_capacity(n, g.w_max)
+        elif algorithm == "dpbea":
+            cap = 2 * (n + 1)
+        elif opt is not None:
+            cap = 2 * opt + 1
 
     best_cost: int | None = None
     best_key: bytes | None = None
     hit0 = hitc = hitt = None
     violations = 0
-
-    init = ev.evaluate((rng.uniforms(n) < 0.5).view(np.uint8))
-    archive.insert(init)
-    ev.retain(init, archive.members)
-    if init.cost == 0:
-        hit0 = 0
-    if init.lp2 == 0:
-        best_cost, best_key = init.cost, init.key
-        hitc = 0
-        if ratio is not None and best_cost * tgt_den <= tgt_num:
-            hitt = 0
-    max_arch = len(archive.members)
-    series = [(0, max_arch, best_cost)] if record_series else None
+    max_arch = 0
+    series = [] if record_series else None
 
     def target_met() -> bool:
         if ratio is not None:
@@ -707,13 +691,10 @@ def run(algorithm: str,
             return False
         return done and (not until_zero or hit0 is not None)
 
+    # iteration 0 inserts the random initial genotype into the empty archive
     it = 0
-    while not target_met() and (budget is None or it < budget):
-        it += 1
-        members = archive.members
-        parent = members[int(rng.uniform() * len(members))]
-        flips = _flip_positions(rng, n, parent.focused_pvec if use_alt else None)
-        cand = ev.evaluate(None, parent, threshold, flips) if flips else parent
+    cand = ev.evaluate((rng.uniforms(n) < 0.5).view(np.uint8))
+    while True:
         # a candidate whose lp2 is only a bound is rejected, but still
         # inserted: a dpbea group may shrink on a rejected insert
         accepted = archive.insert(cand)
@@ -730,19 +711,19 @@ def run(algorithm: str,
                 hitc = it
             if ratio is not None and hitt is None and best_cost * tgt_den <= tgt_num:
                 hitt = it
-        if check_bounds:
-            if algorithm == "demo":
-                if size > demo_cap:
-                    violations += 1
-            elif algorithm == "dpbea":
-                if size > dpbea_cap or archive.max_group_size > 2:
-                    violations += 1
-            elif gsemo_cap is not None and size > gsemo_cap:
-                violations += 1
+        if cap is not None and (size > cap or algorithm == "dpbea" and archive.max_group_size > 2):
+            violations += 1
         if record_series:
             series.append((it, size, best_cost))
-        if callback is not None:
+        if callback is not None and it:
             callback(it, cand, accepted, archive)
+        if target_met() or it == budget:
+            break
+        it += 1
+        members = archive.members
+        parent = members[int(rng.uniform() * len(members))]
+        flips = _flip_positions(rng, n, parent.focused_pvec if use_alt else None)
+        cand = ev.evaluate(None, parent, threshold, flips) if flips else parent
 
     return RunTrace(
         algorithm=algorithm,

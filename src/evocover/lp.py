@@ -59,7 +59,7 @@ class DoubleCover:
 
     * selecting v cancels the flow on v's edge arcs, returning each unit to
       the far endpoint's supply or demand, then zeroes v's supply and demand;
-      without a cover to edit, it scans v's arcs only while they carry flow;
+      each side's scan of v's arcs ends once the side's flow is cancelled;
     * deselecting v restores w(v) to both; the flow stays valid.
 
     A maximum flow carries a second certificate: a doubled half-integral
@@ -232,11 +232,11 @@ class DoubleCover:
     def _edit(self, cov: list[int] | None, sel: list[int], edits: list[int]) -> tuple:
         """Edit the flow to ``sel``'s selection and, if given, its cover
         ``cov`` into a cover of ``sel``'s residual graph. Returns the edited
-        flow's value and, with a cover only (else None and empty lists), the
-        cover's weight U >= 2 * LP and the vertices whose spare supply, and
-        whose spare demand, rose: the local searches' seeds. Only a cover's
-        repair scans all of a selected v's arcs; else a side's scan ends once
-        its flow, w(v) less v's spare supply or demand, is cancelled."""
+        flow's value, the cover's weight U >= 2 * LP (None without a cover),
+        and the vertices whose spare supply, and whose spare demand, rose:
+        the local searches' seeds. A side's scan of a selected v's arcs ends
+        once its flow, w(v) less v's spare supply or demand, is cancelled;
+        the cover's repair reads v's arcs again only when a[v] < 2."""
         flow, sup, dem, w = self._flow, self._sup, self._dem, self._w
         out, inn = self._out, self._in
         value = self.value2
@@ -246,51 +246,40 @@ class DoubleCover:
         for v in edits:
             if not sel[v]:
                 sup[v] = dem[v] = w[v]
+                fwd.append(v)
+                bwd.append(v)
                 if cov is not None:
                     upper += 2 * w[v]
                     cov[v] = 2
                     fix.append(v)
-                    fwd.append(v)
-                    bwd.append(v)
                 continue
-            if cov is None:
-                left = w[v] - sup[v]  # the flow v_L sends
-                if left:
-                    for a, y in out[v]:  # paths s -> v_L -> y_R -> t
-                        f = flow[a]
-                        if f:
-                            flow[a] = 0
-                            dem[y] += f
-                            left -= f
-                            if not left:
-                                break
-                left = w[v] - dem[v]  # the flow v_R takes
-                if left:
-                    for a, x in inn[v]:  # paths s -> x_L -> v_R -> t
-                        f = flow[a]
-                        if f:
-                            flow[a] = 0
-                            sup[x] += f
-                            left -= f
-                            if not left:
-                                break
-            else:
-                held = 2 - cov[v]  # v held up each neighbour y at a[y] == held, if held
-                upper -= cov[v] * w[v]
-                for a, y in out[v]:
+            left = w[v] - sup[v]  # the flow v_L sends
+            if left:
+                for a, y in out[v]:  # paths s -> v_L -> y_R -> t
                     f = flow[a]
                     if f:
                         flow[a] = 0
                         dem[y] += f
                         bwd.append(y)
-                    if held and cov[y] == held:
-                        fix.append(y)
-                for a, x in inn[v]:
+                        left -= f
+                        if not left:
+                            break
+            left = w[v] - dem[v]  # the flow v_R takes
+            if left:
+                for a, x in inn[v]:  # paths s -> x_L -> v_R -> t
                     f = flow[a]
                     if f:
                         flow[a] = 0
                         sup[x] += f
                         fwd.append(x)
+                        left -= f
+                        if not left:
+                            break
+            if cov is not None:
+                upper -= cov[v] * w[v]
+                held = 2 - cov[v]  # v held up each neighbour y at a[y] == held, if held
+                if held:
+                    fix += [y for _, y in out[v] if cov[y] == held]
             value -= 2 * w[v] - sup[v] - dem[v]
             sup[v] = dem[v] = 0
         for u in fix:

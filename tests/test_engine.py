@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import evocover as ec
@@ -184,28 +184,30 @@ def test_standard_mutation_rejects_entries_other_than_0_and_1():
 
 
 def test_standard_mutation_flip_rate():
-    # 1e6 draws at n = 10: per-bit flip frequency 0.1 +- 0.002
+    # 1e6 draws at n = 10: per-bit flip frequency 0.1 +- 0.002, counted from
+    # the helper that standard_mutation draws through (the draws are pinned
+    # by test_mutations_draw_as_the_uniform_formulas)
     n, draws = 10, 1_000_000
     rng = ec.RngStream(2024)
-    x = np.zeros(n, dtype=np.uint8)
-    counts = np.zeros(n, dtype=np.int64)
+    flipped = []
     for _ in range(draws):
-        counts += ec.standard_mutation(x, rng)
-    freq = counts / draws
+        flipped += ec.engine._flip_positions(rng, n)
+    freq = np.bincount(flipped, minlength=n) / draws
     assert np.all(np.abs(freq - 0.1) < 0.002), freq
 
 
 def test_alternative_mutation_flip_rate_uncovered_clique():
     # n = 10 clique, nothing selected: every vertex is uncovered-incident,
-    # so the unconditional per-bit flip rate is 1/2 * 1/2 + 1/2 * 1/10 = 0.3
+    # so the unconditional per-bit flip rate is 1/2 * 1/2 + 1/2 * 1/10 = 0.3,
+    # counted from the helper as alternative_mutation draws through it on 0^n
     n, draws = 10, 1_000_000
     g = ec.build_graph(n, [1] * n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     rng = ec.RngStream(777)
-    x = np.zeros(n, dtype=np.uint8)
-    counts = np.zeros(n, dtype=np.int64)
+    pvec = ec.engine._focused_pvec(g, np.zeros(n, dtype=np.uint8))
+    flipped = []
     for _ in range(draws):
-        counts += ec.alternative_mutation(g, x, rng)
-    freq = counts / draws
+        flipped += ec.engine._flip_positions(rng, n, lambda: pvec)
+    freq = np.bincount(flipped, minlength=n) / draws
     assert np.all(np.abs(freq - 0.3) < 0.005), freq
 
 
@@ -1155,6 +1157,66 @@ def test_dpbea_members_and_threshold_match_the_sorted_groups(ops):
                 want = None if grp is None else max(2 * (grp[0].cost - cost) + grp[0].lp2,
                                                     grp[-1].cost - cost + grp[-1].lp2)
                 assert arch.threshold(cost, ones) == want, (step, op, cost, ones)
+
+
+def _front_reference_insert(front, cand, n):
+    """gsemo's archive rule (n None) or demo's, with boxes of ratio
+    1 + 1/(2n), on a list of members, written apart from the archives."""
+    def weakly(a, b):  # a weakly dominates b
+        return a.cost <= b.cost and a.lp2 <= b.lp2
+
+    if n is None:
+        if any(weakly(m, cand) for m in front):
+            return False
+        kept = [m for m in front if not weakly(cand, m)]
+    else:
+        box = ec.box_index(cand.fitness, n)
+        mates = [m for m in front if ec.box_index(m.fitness, n) == box]
+        if any(weakly(m, cand) and m.fitness != cand.fitness for m in front):
+            return False  # strongly dominated
+        if any(m.cost + m.lp2 <= cand.cost + cand.lp2 for m in mates):
+            return False  # lost the box tie
+        kept = [m for m in front if not weakly(cand, m) and m not in mates]
+    front[:] = sorted(kept + [cand], key=lambda m: m.cost)
+    return True
+
+
+_FRONT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("new"), st.integers(0, 200), st.integers(0, 200)),
+    # a member's fitness moved by at most 3 per axis: often in its box
+    st.tuples(st.just("near"), st.integers(0, 10 ** 6), st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.just("again"), st.integers(0, 10 ** 6))),  # a member proposed again
+    max_size=40)
+
+
+@pytest.mark.parametrize("n", [None, 1, 3])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ops=_FRONT_OPS)
+# n = 1: (4, 3) ties (3, 4) in its box and loses, (3, 3) evicts it as
+# dominated; (4, 5) outscores its box mate (3, 8) without dominating it
+@example(ops=[("new", 3, 4), ("new", 4, 3), ("new", 3, 3), ("again", 0)])
+@example(ops=[("new", 3, 8), ("new", 4, 5), ("again", 0), ("new", 4, 5)])
+def test_pareto_and_demo_members_and_threshold_match_the_sorted_front(n, ops):
+    # small ranges give equal costs, box ties, box mates the candidate
+    # dominates and mates it only outscores on cost + lp2
+    arch, front = (ec.SemoArchive() if n is None else ec.DemoArchive(n)), []
+    for step, op in enumerate(ops):
+        if op[0] == "new":
+            cand = mk(op[1], op[2])
+        elif not arch.members:
+            continue
+        else:
+            cand = arch.members[op[1] % len(arch.members)]
+            if op[0] == "near":
+                cand = mk(max(cand.cost + op[2], 0), max(cand.lp2 + op[3], 0))
+        expect = _front_reference_insert(front, cand, n)
+        assert arch.insert(cand) == expect, (step, op)
+        assert len(arch.members) == len(front), (step, op)
+        assert all(m is f for m, f in zip(arch.members, front)), (step, op)
+        # the threshold steps at the members' costs
+        for cost in {0, 10 ** 6}.union(*((m.cost - 1, m.cost) for m in front)):
+            want = min((m.lp2 for m in front if m.cost <= cost), default=None)
+            assert arch.threshold(cost, 0) == want, (step, op, cost)
 
 
 def test_evaluators_on_one_graph_share_one_topology():
