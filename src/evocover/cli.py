@@ -69,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, help="left side size (complete-bipartite)")
     p.add_argument("--b", type=int, help="right side size (complete-bipartite)")
     p.add_argument("--wmax", type=int, default=1, help="weights drawn uniformly from [1, wmax]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_generate)
 

@@ -65,7 +65,8 @@ def opt_branch_bound(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP) -> Exac
     LP lower bound of the residual strictly exceeds the incumbent, which
     preserves the exhaustive oracle's lexicographic tie-break among
     equal-cost optima. The bounds come from one ``DoubleCover``, edited at
-    each node from the selection it last solved.
+    each node from the selection it last solved. No bound is solved before
+    the first incumbent, and each solve stops at the prune threshold.
     """
     n = g.n
     if n > BRANCH_BOUND_LIMIT:
@@ -97,11 +98,14 @@ def opt_branch_bound(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP) -> Exac
             if best_cost is None or acc < best_cost or (acc == best_cost and bits < best_bits):
                 best_cost, best_bits = acc, bits
             return
-        edits = [u for u in range(n) if chosen[u] != solved[u]]
-        solved[:] = chosen
-        bound = acc + (cover.solve(chosen, edits) + 1) // 2
-        if best_cost is not None and bound > best_cost:
-            return
+        if best_cost is not None:
+            # acc + ceil(lp2 / 2) > best_cost iff lp2 >= limit, so the solve
+            # may stop at limit: a value below it is exact
+            limit = 2 * (best_cost - acc) + 1
+            edits = [u for u in range(n) if chosen[u] != solved[u]]
+            solved[:] = chosen
+            if cover.solve(chosen, edits, limit) >= limit:
+                return
         # include v
         chosen[v] = 1
         search(acc + weights[v])

@@ -184,19 +184,22 @@ def _draw_weights(rng: np.random.Generator, n: int, w_max: int) -> list[int]:
 
 
 def gnp(n: int, p: float, w_max: int = 1, seed: int = 0) -> WeightedGraph:
-    """Erdos-Renyi G(n, p) with uniform random integer weights in [1, w_max]."""
+    """Erdos-Renyi G(n, p) with uniform random integer weights in [1, w_max].
+
+    Pair (i, j), i < j, is an edge iff its uniform draw is below p; the pairs
+    are drawn in row-major order, one array per row i, which consumes the
+    stream as one scalar draw per pair would, in O(n + m) memory.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = _rng(seed)
     weights = _draw_weights(rng, n, w_max)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
+    edges = []
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+        edges += [(i, j) for j in hits.tolist()]
     return build_graph(n, weights, edges)
 
 

@@ -47,6 +47,15 @@ def np_rng(seed):
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+def scalar_gnp(n, p, w_max=1, seed=0):
+    """G(n, p) drawn as the generator once did: one scalar uniform per pair
+    (i, j), i < j, in row-major order, after the weights."""
+    rng = np_rng(seed)
+    weights = rng.integers(1, w_max, size=n, endpoint=True).tolist()
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return ec.build_graph(n, weights, edges)
+
+
 def tiny_lp_value2(num_vertices, edges, weights):
     """Minimum doubled fractional cover value over {0, 1/2, 1}^k by enumeration."""
     best = None

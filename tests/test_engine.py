@@ -196,18 +196,24 @@ def test_standard_mutation_flip_rate():
     assert np.all(np.abs(freq - 0.1) < 0.002), freq
 
 
-def test_alternative_mutation_flip_rate_uncovered_clique():
-    # n = 10 clique, nothing selected: every vertex is uncovered-incident,
-    # so the unconditional per-bit flip rate is 1/2 * 1/2 + 1/2 * 1/10 = 0.3,
-    # counted from the helper as alternative_mutation draws through it on 0^n
-    n, draws = 10, 1_000_000
-    g = ec.build_graph(n, [1] * n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    rng = ec.RngStream(777)
-    pvec = ec.engine._focused_pvec(g, np.zeros(n, dtype=np.uint8))
+def _focused_flip_freq(g, x, seed, draws):
+    # per-bit flip frequency of alternative_mutation on x, counted from the
+    # helper it draws through (the draws are pinned by
+    # test_mutations_draw_as_the_uniform_formulas)
+    rng = ec.RngStream(seed)
+    pvec = ec.engine._focused_pvec(g, np.asarray(x, dtype=np.uint8))
     flipped = []
     for _ in range(draws):
-        flipped += ec.engine._flip_positions(rng, n, lambda: pvec)
-    freq = np.bincount(flipped, minlength=n) / draws
+        flipped += ec.engine._flip_positions(rng, g.n, lambda: pvec)
+    return np.bincount(flipped, minlength=g.n) / draws
+
+
+def test_alternative_mutation_flip_rate_uncovered_clique():
+    # n = 10 clique, nothing selected: every vertex is uncovered-incident,
+    # so the unconditional per-bit flip rate is 1/2 * 1/2 + 1/2 * 1/10 = 0.3
+    n = 10
+    g = ec.build_graph(n, [1] * n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    freq = _focused_flip_freq(g, [0] * n, 777, 1_000_000)
     assert np.all(np.abs(freq - 0.3) < 0.005), freq
 
 
@@ -215,13 +221,7 @@ def test_alternative_mutation_single_edge_endpoints():
     # single edge, x = 00: each endpoint flips with probability 1/2 in both
     # branches (1/n = 1/2 here), so the observed rate must sit at 1/2
     g = ec.build_graph(2, [1, 1], [(0, 1)])
-    rng = ec.RngStream(31)
-    x = np.zeros(2, dtype=np.uint8)
-    draws = 200_000
-    counts = np.zeros(2, dtype=np.int64)
-    for _ in range(draws):
-        counts += ec.alternative_mutation(g, x, rng)
-    freq = counts / draws
+    freq = _focused_flip_freq(g, [0, 0], 31, 200_000)
     assert np.all(np.abs(freq - 0.5) < 0.01), freq
 
 
@@ -229,13 +229,7 @@ def test_alternative_mutation_mixed_rates():
     # one uncovered edge plus two isolated vertices at n = 4:
     # incident bits 1/2*1/2 + 1/2*1/4 = 0.375, others 1/4
     g = ec.build_graph(4, [1] * 4, [(0, 1)])
-    rng = ec.RngStream(32)
-    x = np.zeros(4, dtype=np.uint8)
-    draws = 200_000
-    counts = np.zeros(4, dtype=np.int64)
-    for _ in range(draws):
-        counts += ec.alternative_mutation(g, x, rng)
-    freq = counts / draws
+    freq = _focused_flip_freq(g, [0] * 4, 32, 200_000)
     assert abs(freq[0] - 0.375) < 0.01 and abs(freq[1] - 0.375) < 0.01, freq
     assert abs(freq[2] - 0.25) < 0.01 and abs(freq[3] - 0.25) < 0.01, freq
 
@@ -243,13 +237,7 @@ def test_alternative_mutation_mixed_rates():
 def test_alternative_mutation_full_cover_degenerates():
     # covered instance: both branches flip every bit with probability 1/n
     g = ec.path(3)
-    rng = ec.RngStream(33)
-    x = np.array([0, 1, 0], dtype=np.uint8)  # middle vertex covers both edges
-    draws = 200_000
-    counts = np.zeros(3, dtype=np.int64)
-    for _ in range(draws):
-        counts += ec.alternative_mutation(g, x, rng) != x
-    freq = counts / draws
+    freq = _focused_flip_freq(g, [0, 1, 0], 33, 200_000)  # middle vertex covers both edges
     assert np.all(np.abs(freq - 1 / 3) < 0.01), freq
 
 

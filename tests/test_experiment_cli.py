@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +144,39 @@ def test_expected_time_reference_values():
     ref = expmod.expected_time_reference("dpbea", 8, 1, 4, Fraction(1, 2))
     assert ref["value"] == pytest.approx(8 * 2.0 ** 4 + 512)
     assert expmod.expected_time_reference("gsemo-alt", 8, 1, 4, None) is None
+
+
+IMPORT_CHECK = """
+import sys
+import evocover as ec
+loaded = sorted(k for k in sys.modules if k.startswith("evocover"))
+assert loaded == ["evocover", "evocover.engine", "evocover.exact", "evocover.graph",
+                  "evocover.lp"], loaded
+assert "concurrent.futures.process" not in sys.modules
+namespace = {}
+exec("from evocover import *", namespace)
+assert all(namespace[name] is getattr(ec, name) for name in ec.__all__)
+assert set(ec.__all__) <= set(dir(ec))
+assert ec.experiment is sys.modules["evocover.experiment"]
+assert ec.run_trial is ec.experiment.run_trial
+try:
+    ec.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+
+
+def test_import_loads_the_experiment_harness_on_first_use():
+    # a fresh interpreter: importing evocover runs only the search kernel,
+    # and every exported name still resolves
+    src = str(Path(ec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +362,7 @@ def test_cli_instance_errors(tmp_path):
     assert main(["exact", "--instance", str(bad)]) == 3
 
 
-def test_cli_usage_errors(instance_file):
+def test_cli_usage_errors(instance_file, capsys):
     assert main(["run", "--algo", "simulated-annealing",
                  "--instance", instance_file, "--budget", "5"]) == 2
     assert main(["frobnicate"]) == 2
@@ -339,6 +375,9 @@ def test_cli_usage_errors(instance_file):
         assert main(["run", "--algo", "gsemo", "--instance", instance_file] + bad) == 2, bad
     for cap in ("0", "-1"):
         assert main(["exact", "--instance", instance_file, "--node-cap", cap]) == 2, cap
+    capsys.readouterr()
+    assert main(["generate", "--kind", "gnp", "--n", "5", "--p", "0.5", "--seed", "-1"]) == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def _strict_json(text):

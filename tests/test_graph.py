@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import evocover as ec
-from conftest import make_instances, np_rng, random_genotype
+from conftest import make_instances, np_rng, random_genotype, scalar_gnp
 
 
 def test_build_minimal_instance():
@@ -145,6 +147,29 @@ def test_generator_determinism_and_weight_range():
     assert all(1 <= w <= 9 for w in a.weights)
     via_dispatch = ec.gen_instance("gnp", {"n": 8, "p": 0.5}, w_max=9, seed=321)
     assert via_dispatch == a
+
+
+def test_gnp_draws_as_one_scalar_per_pair():
+    # drawing a row's pairs as one array consumes the stream as the scalar
+    # loop does, so every (n, p, seed) keeps its instance
+    for n in (1, 2, 5, 12, 24, 30, 100, 300):
+        for p in (0.0, 0.05, 0.25, 0.4, 1.0):
+            for seed in range(4):
+                w_max = 1 + 5 * seed
+                assert ec.gnp(n, p, w_max, seed) == scalar_gnp(n, p, w_max, seed), (n, p, seed)
+
+
+def test_gnp_memory_stays_linear():
+    # the whole pair triangle of n = 4000 would take 8e6 doubles, about
+    # 64 MB; one row at a time stays far below
+    tracemalloc.start()
+    try:
+        g = ec.gnp(4000, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 0
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_generator_rejects_bad_params():

@@ -285,6 +285,25 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
     assert_topology_as_built(g)
 
 
+def test_solve_with_a_limit_at_most_zero_returns_at_once():
+    # branch and bound passes limit 2 * (best - acc) + 1 <= 0 at a node whose
+    # cost exceeds the incumbent: the solve only edits the flow, which is
+    # valid, and the next limitless solve from that flow is exact
+    rng = np_rng(15)
+    for g in make_instances(9, 1500, (8, 16, 24), require_edges=True):
+        cover = DoubleCover(g)
+        bits = np.zeros(g.n, dtype=np.uint8)
+        assert cover.solve(bits.tolist(), []) == dinic_lp2(g, bits)
+        for limit in (0, -1, -9):
+            flips = sorted(set(rng.integers(0, g.n, size=3).tolist()))
+            bits[flips] ^= 1
+            before = cover.value2
+            value = cover.solve(bits.tolist(), flips, limit)
+            assert limit <= value <= before
+            assert_flow_state(g, cover, bits, f"limit {limit}")
+            assert cover.solve(bits.tolist(), []) == dinic_lp2(g, bits)
+
+
 @st.composite
 def bound_walks(draw):
     """A graph on <= 12 vertices (edgeless allowed) and a walk of solves on
