@@ -28,6 +28,19 @@ from .engine import (
     standard_mutation,
 )
 from .exact import ExactResult, SearchBudgetExceeded, opt_branch_bound, opt_exhaustive
+from .experiment import (
+    CSV_COLUMNS,
+    ConfigError,
+    ExperimentConfig,
+    ExperimentResult,
+    TrialRecord,
+    read_records_csv,
+    records_from_csv,
+    records_to_csv,
+    run_experiment,
+    run_trial,
+    write_records_csv,
+)
 from .graph import (
     GraphFormatError,
     ResidualGraph,
@@ -59,40 +72,15 @@ from .lp import (
 )
 
 
-# Loaded on first access, so that importing evocover compiles and runs only
-# the search kernel (graph, lp, engine, exact). The experiment harness brings
-# in CSV, JSON and the process pool, which no search needs. maxflow is unused
-# by the package but stays importable: it is the tests' cold Dinic oracle,
-# and the benchmark's tracer (bench/tracing.py) wraps its Dinic methods by name.
-_LAZY = {
-    "experiment": "experiment",
-    "maxflow": "maxflow",
-    **dict.fromkeys((
-        "CSV_COLUMNS",
-        "ConfigError",
-        "ExperimentConfig",
-        "ExperimentResult",
-        "TrialRecord",
-        "read_records_csv",
-        "records_from_csv",
-        "records_to_csv",
-        "run_experiment",
-        "run_trial",
-        "write_records_csv",
-    ), "experiment"),
-}
-
-
 def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
-    return module if name == _LAZY[name] else getattr(module, name)
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY})
+    # maxflow is unused by the package but stays importable: it is the
+    # tests' cold Dinic oracle, and the benchmark's tracer (bench/tracing.py)
+    # wraps its Dinic methods by name. It is imported on first access, so
+    # that importing evocover does not compile it.
+    if name == "maxflow":
+        import importlib
+        return importlib.import_module(f"{__name__}.maxflow")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __version__ = "0.1.0"

@@ -5,11 +5,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import subprocess
-import sys
 from concurrent.futures import Future
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -144,39 +141,6 @@ def test_expected_time_reference_values():
     ref = expmod.expected_time_reference("dpbea", 8, 1, 4, Fraction(1, 2))
     assert ref["value"] == pytest.approx(8 * 2.0 ** 4 + 512)
     assert expmod.expected_time_reference("gsemo-alt", 8, 1, 4, None) is None
-
-
-IMPORT_CHECK = """
-import sys
-import evocover as ec
-loaded = sorted(k for k in sys.modules if k.startswith("evocover"))
-assert loaded == ["evocover", "evocover.engine", "evocover.exact", "evocover.graph",
-                  "evocover.lp"], loaded
-assert "concurrent.futures.process" not in sys.modules
-namespace = {}
-exec("from evocover import *", namespace)
-assert all(namespace[name] is getattr(ec, name) for name in ec.__all__)
-assert set(ec.__all__) <= set(dir(ec))
-assert ec.experiment is sys.modules["evocover.experiment"]
-assert ec.run_trial is ec.experiment.run_trial
-try:
-    ec.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc)
-else:
-    raise AssertionError("unknown attribute resolved")
-"""
-
-
-def test_import_loads_the_experiment_harness_on_first_use():
-    # a fresh interpreter: importing evocover runs only the search kernel,
-    # and every exported name still resolves
-    src = str(Path(ec.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
