@@ -100,12 +100,14 @@ class RngStream:
     The generator is seeded through SeedSequence, so identical seeds give
     identical draw sequences and distinct seeds give independent streams.
     Draws come from fixed-size blocks of 4096 uniforms; a block is replaced
-    (never overwritten) when fewer draws remain than requested.
+    (never overwritten) when fewer draws remain than requested. For
+    ``below`` a block keeps the ascending positions of its uniforms under
+    one p, and a cursor into them that only moves forward, as draws do.
     """
 
     BLOCK = 4096
 
-    __slots__ = ("seed", "_gen", "_buf", "_pos", "_hits", "_hits_p")
+    __slots__ = ("seed", "_gen", "_buf", "_pos", "_hits", "_hits_p", "_at")
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -115,7 +117,9 @@ class RngStream:
 
     def _next_block(self) -> None:
         self._buf = self._gen.random(self.BLOCK)
-        self._hits_p = None  # _hits lists the positions of the uniforms < _hits_p
+        # _hits lists the positions of the uniforms < _hits_p, then BLOCK;
+        # _hits[_at] is the first of them at or after the last below() window
+        self._hits_p = None
 
     def uniform(self) -> float:
         pos = self._pos
@@ -138,7 +142,9 @@ class RngStream:
 
     def below(self, k: int, p: float) -> list[int]:
         """Ascending positions of the uniforms < p among the next k, drawn
-        as ``uniforms(k)`` draws them, from a per-block list of such hits."""
+        as ``uniforms(k)`` draws them. Within a block, the cursor steps over
+        the hits that other draws took since the last call, then collects
+        the window's; a new block or p lists the hits again and bisects."""
         pos = self._pos
         end = pos + k
         if end > self.BLOCK:  # a new block, or more than a block
@@ -146,13 +152,20 @@ class RngStream:
         self._pos = end
         if p != self._hits_p:
             self._hits_p = p
-            self._hits = np.flatnonzero(self._buf < p).tolist()
-        hits = self._hits
-        lo = bisect_left(hits, pos)
-        hi = bisect_left(hits, end, lo)
-        if hi - lo < 2:  # at n bits and p = 1/n, about 2/e of the windows
-            return [hits[lo] - pos] if lo < hi else []
-        return [h - pos for h in hits[lo:hi]]
+            self._hits = hits = np.flatnonzero(self._buf < p).tolist()
+            hits.append(self.BLOCK)  # a sentinel: end <= BLOCK stops each scan
+            at = bisect_left(hits, pos)
+        else:
+            hits = self._hits
+            at = self._at
+            while hits[at] < pos:  # hits that uniform() or uniforms() took
+                at += 1
+        out = []
+        while hits[at] < end:
+            out.append(hits[at] - pos)
+            at += 1
+        self._at = at
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +706,7 @@ def run(algorithm: str,
 
     # iteration 0 inserts the random initial genotype into the empty archive
     it = 0
+    done = False
     cand = ev.evaluate((rng.uniforms(n) < 0.5).view(np.uint8))
     while True:
         # a candidate whose lp2 is only a bound is rejected, but still
@@ -703,21 +717,24 @@ def run(algorithm: str,
         size = len(archive.members)
         if size > max_arch:
             max_arch = size
+        # target_met() can change only where a milestone is set
         if cand.cost == 0 and hit0 is None:
             hit0 = it
+            done = target_met()
         if cand.lp2 == 0 and (best_cost is None or cand.cost < best_cost):
             best_cost, best_key = cand.cost, cand.key
             if hitc is None:
                 hitc = it
             if ratio is not None and hitt is None and best_cost * tgt_den <= tgt_num:
                 hitt = it
+            done = target_met()
         if cap is not None and (size > cap or algorithm == "dpbea" and archive.max_group_size > 2):
             violations += 1
         if record_series:
             series.append((it, size, best_cost))
         if callback is not None and it:
             callback(it, cand, accepted, archive)
-        if target_met() or it == budget:
+        if done or it == budget:
             break
         it += 1
         members = archive.members

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -174,6 +173,8 @@ def run_experiment(g: WeightedGraph, cfg: ExperimentConfig) -> ExperimentResult:
         ]
         # fork starts every worker at once: no more than there are batches or cores
         workers = min(cfg.workers, len(batches), os.cpu_count() or 1)
+        # imported here: it loads multiprocessing, which a single worker never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_trial_batch, b) for b in batches]
             try:

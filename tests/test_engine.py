@@ -130,6 +130,26 @@ def test_rng_below_matches_uniforms_on_a_twin_stream():
         assert a.uniform() == b.uniform()
 
 
+def test_rng_below_matches_uniforms_over_a_long_random_interleaving():
+    # the cursor in below() steps over hits that uniform() and uniforms(m)
+    # took, across p changes inside a block and across block replacements
+    # (the long draws are rare, so that most blocks serve many calls)
+    a, b = ec.RngStream(11), ec.RngStream(11)
+    pick = np.random.default_rng(5)
+    for _ in range(20_000):
+        op = pick.integers(3)
+        if op == 0:
+            assert a.uniform() == b.uniform()
+        elif op == 1:
+            m = int(pick.choice((0, 1, 12, 4095, 4096, 5000), p=(.3, .3, .37, .01, .01, .01)))
+            assert np.array_equal(a.uniforms(m), b.uniforms(m)), m
+        else:
+            k = int(pick.choice((1, 12, 100, 4096, 5000), p=(.3, .4, .28, .01, .01)))
+            p = (1 / 12, 1 / 100, 0.3)[pick.integers(3)]
+            assert a.below(k, p) == np.flatnonzero(b.uniforms(k) < p).tolist(), (k, p)
+            assert a.uniform() == b.uniform()
+
+
 # ---------------------------------------------------------------------------
 # Mutation operators
 # ---------------------------------------------------------------------------
@@ -562,7 +582,36 @@ def test_run_until_zero_string_keeps_going(triangle):
     tr = ec.run("gsemo", triangle, 9, term)
     assert tr.iters_to_target is not None
     assert tr.iters_to_zero_string is not None
-    assert tr.iterations >= max(tr.iters_to_target, tr.iters_to_zero_string)
+    assert tr.iterations == max(tr.iters_to_target, tr.iters_to_zero_string)
+
+
+# gnp(6, 0.5, w_max=8, seed=2) has OPT 11. Each case's (size, best cost)
+# per iteration was recorded with the stop rule tested on every iteration.
+_OPT11 = ec.Termination(budget=5000, target_ratio=Fraction(1), opt=11, until_zero_string=True)
+_COVER = ec.Termination(budget=5000, any_cover=True, until_zero_string=True)
+_N = None
+
+
+@pytest.mark.parametrize("term, seed, hit0, hit, series", [
+    # the zero string before the target: the run stops at the target
+    (_OPT11, 6, 8, 16, [(1, _N), (2, _N), (3, _N), (2, _N), (3, _N), (3, _N), (3, _N),
+                        (3, _N), (4, _N), (4, _N), (4, _N), (4, _N), (4, _N), (4, _N),
+                        (4, _N), (4, _N), (5, 11)]),
+    # the zero string after the target: the run stops at the zero string
+    (_OPT11, 5, 19, 15, [(1, _N), (2, 24), (3, 24), (3, 18), (3, 18), (3, 18), (3, 18),
+                         (2, 15), (2, 15), (2, 15), (2, 15), (3, 15), (2, 15), (2, 15),
+                         (2, 15), (2, 11), (3, 11), (3, 11), (3, 11), (4, 11)]),
+    # any cover as the target, the zero string first
+    (_COVER, 4, 26, 30, [(1, _N)] * 9 + [(2, _N), (3, _N), (3, _N)] + [(4, _N)] * 13
+                        + [(5, _N), (6, _N), (7, _N), (7, _N), (7, _N), (8, 19)]),
+])
+def test_run_until_zero_string_stops_at_the_later_milestone(term, seed, hit0, hit, series):
+    g = ec.gnp(6, 0.5, w_max=8, seed=2)
+    tr = ec.run("gsemo", g, seed, term, record_series=True)
+    assert tr.iters_to_zero_string == hit0
+    assert (tr.iters_to_target if term.target_ratio else tr.iters_to_cover) == hit
+    assert tr.iterations == max(hit0, hit)
+    assert tr.series == [(it, size, best) for it, (size, best) in enumerate(series)]
 
 
 def test_run_fitness_honesty():

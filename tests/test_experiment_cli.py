@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
@@ -91,7 +92,8 @@ def test_experiment_worker_count_is_capped(triangle, monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(expmod, "ProcessPoolExecutor", InProcessPool)
+    # run_experiment imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     result = expmod.run_experiment(triangle, small_config(workers=10_000))
     # 8 trials in 8 batches of one
     assert requested == [min(8, os.cpu_count() or 1)]
