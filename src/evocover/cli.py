@@ -187,7 +187,7 @@ def cmd_exact(args) -> int:
 
 
 def _run_json(trace, record) -> str:
-    doc = vars(trace) | {
+    doc = trace._asdict() | {
         "best_cover": None if trace.best_cover is None
         else "".join(str(b) for b in trace.best_cover),
         "opt": record.opt,

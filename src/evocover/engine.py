@@ -19,7 +19,6 @@ comparator decisions in integers. The linear forms "Cost + 2 LP" and
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log1p
 from typing import Callable, NamedTuple, Sequence
@@ -465,17 +464,18 @@ class DemoArchive(SemoArchive):
         self._by_box: dict[BoxIndex, Individual] = {}
 
     def insert(self, cand: Individual) -> bool:
+        # A member that weakly dominates cand strongly dominates it or has
+        # its fitness, and so its box and the box tie: either way cand is
+        # rejected, before its box is computed and with the archive as it was.
+        i = bisect_right(self._costs, cand.cost)
+        if i and self.members[i - 1].lp2 <= cand.lp2:
+            return False
         if cand.box is None:
             cand.box = box_index((cand.cost, cand.lp2), self.n)
         by_box = self._by_box
         mate = by_box.get(cand.box)
         if mate is not None and mate.cost + mate.lp2 <= cand.cost + cand.lp2:
             return False
-        i = bisect_right(self._costs, cand.cost)
-        if i:
-            y = self.members[i - 1]
-            if y.lp2 <= cand.lp2 and (y.cost != cand.cost or y.lp2 != cand.lp2):
-                return False  # strongly dominated
         for y in self._place(cand):
             del by_box[y.box]
         # a mate still here lost the box tie, and its cost is not cand's: a
@@ -560,8 +560,15 @@ def make_archive(algorithm: str, n: int):
 # Runs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Termination:
+class _TerminationFields(NamedTuple):
+    budget: int | None = None
+    any_cover: bool = False
+    target_ratio: Fraction | None = None
+    opt: int | None = None
+    until_zero_string: bool = False
+
+
+class Termination(_TerminationFields):
     """When a run stops.
 
     At least one of ``budget`` / ``any_cover`` / ``target_ratio`` must be
@@ -572,28 +579,30 @@ class Termination:
     hitting times stay measurable against the full budget.
     """
 
-    budget: int | None = None
-    any_cover: bool = False
-    target_ratio: Fraction | None = None
-    opt: int | None = None
-    until_zero_string: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.budget is None and not self.any_cover and self.target_ratio is None:
+    def __new__(cls, *args, **kwargs):
+        budget, any_cover, ratio, opt, until_zero = super().__new__(cls, *args, **kwargs)
+        if budget is None and not any_cover and ratio is None:
             raise ValueError("termination needs a budget or a target")
-        if self.budget is not None and self.budget < 0:
+        if budget is not None and budget < 0:
             raise ValueError("budget must be >= 0")
-        if self.target_ratio is not None:
+        if ratio is not None:
             # exact for a float too: Fraction(1.5) == 3/2
             try:
-                ratio = Fraction(self.target_ratio)
+                ratio = Fraction(ratio)
             except OverflowError:  # an infinite float
                 raise ValueError("target ratio must be finite") from None
-            object.__setattr__(self, "target_ratio", ratio)
-            if self.opt is None:
+            if opt is None:
                 raise ValueError("a ratio target requires opt")
-            if self.target_ratio < 1:
+            if ratio < 1:
                 raise ValueError("target ratio must be >= 1")
+        return super().__new__(cls, budget, any_cover, ratio, opt, until_zero)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_replace`` validates as well."""
+        return cls(*iterable)
 
     @property
     def target_kind(self) -> str | None:
@@ -604,8 +613,7 @@ class Termination:
         return None
 
 
-@dataclass
-class RunTrace:
+class RunTrace(NamedTuple):
     """Milestones and per-iteration statistics of one run.
 
     Milestones are recorded when the milestone genotype is evaluated;

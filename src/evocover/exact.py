@@ -9,7 +9,7 @@ routes honor the same tie-break so their results are comparable verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class SearchBudgetExceeded(RuntimeError):
     """Branch-and-bound node budget ran out before optimality was proven."""
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     opt_cost: int
     witness: tuple[int, ...]
 

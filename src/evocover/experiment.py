@@ -13,9 +13,8 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import exact
 from .engine import ALGORITHMS, Evaluator, RunTrace, Termination, run
@@ -39,8 +38,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One CSV row; milestone fields are None when never hit."""
 
     seed: int
@@ -54,8 +52,7 @@ class TrialRecord:
     censored: bool
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     algorithm: str
     trials: int
     seed_base: int = 0
@@ -78,8 +75,7 @@ class ExperimentConfig:
             raise ConfigError("experiment needs a budget or a target ratio")
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     records: list[TrialRecord]
     summary: dict
 

@@ -7,9 +7,8 @@ edge ordering are canonical. Instances are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,18 +17,22 @@ class GraphFormatError(ValueError):
     """Malformed instance text (bad header, bad line, inconsistent counts)."""
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class _GraphFields(NamedTuple):
+    n: int
+    weights: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+
+
+class WeightedGraph(_GraphFields):
     """Immutable weighted graph instance.
 
     n: number of vertices (>= 1), indexed 0..n-1.
     weights: per-vertex positive integer weights.
     edges: normalized (u < v), sorted, duplicate-free undirected edges.
-    """
 
-    n: int
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    A NamedTuple subclass without ``__slots__``: the instance ``__dict__``
+    holds the cached properties below.
+    """
 
     @property
     def m(self) -> int:
@@ -65,8 +68,7 @@ class WeightedGraph:
         return list(self.weights), tail, head, out, inn
 
 
-@dataclass(frozen=True)
-class ResidualGraph:
+class ResidualGraph(NamedTuple):
     """The graph left after deleting the vertices selected by a genotype.
 
     kept: original indices of the surviving vertices, ascending (this is the
@@ -183,12 +185,15 @@ def _draw_weights(rng: np.random.Generator, n: int, w_max: int) -> list[int]:
     return [int(w) for w in rng.integers(1, w_max, size=n, endpoint=True)]
 
 
+_GNP_BLOCK = 1 << 16  # uniforms per draw: one draw for every n <= 362
+
+
 def gnp(n: int, p: float, w_max: int = 1, seed: int = 0) -> WeightedGraph:
     """Erdos-Renyi G(n, p) with uniform random integer weights in [1, w_max].
 
     Pair (i, j), i < j, is an edge iff its uniform draw is below p; the pairs
-    are drawn in row-major order, one array per row i, which consumes the
-    stream as one scalar draw per pair would, in O(n + m) memory.
+    are drawn in row-major order, in blocks of at most ``_GNP_BLOCK``, which
+    consumes the stream as one scalar draw per pair would, in O(n + m) memory.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -196,10 +201,14 @@ def gnp(n: int, p: float, w_max: int = 1, seed: int = 0) -> WeightedGraph:
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = _rng(seed)
     weights = _draw_weights(rng, n, w_max)
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - 1 - rows) // 2  # offset of pair (i, i + 1)
+    total = n * (n - 1) // 2
     edges = []
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
-        edges += [(i, j) for j in hits.tolist()]
+    for b in range(0, total, _GNP_BLOCK):
+        hits = np.flatnonzero(rng.random(min(_GNP_BLOCK, total - b)) < p) + b
+        i = starts.searchsorted(hits, "right") - 1
+        edges += zip(i.tolist(), (hits - starts[i] + i + 1).tolist())
     return build_graph(n, weights, edges)
 
 

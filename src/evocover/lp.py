@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ class InstanceTooLargeError(ValueError):
     """Instance exceeds the stated size limit of an exact procedure."""
 
 
-@dataclass(frozen=True)
-class HalfIntegralLP:
+class HalfIntegralLP(NamedTuple):
     """Doubled optimal fractional cover: assign2[i] = 2 * y_i in {0, 1, 2}."""
 
     value2: int

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -339,6 +338,18 @@ def test_demo_insert_strong_dominance_and_eviction():
     assert (3, 4) not in fits and (2, 2) in fits and (9, 1) in fits
 
 
+def test_demo_dominated_candidate_is_never_boxed():
+    # the dominance check runs before the box is computed, so a candidate it
+    # rejects, strongly dominated or of a member's fitness, keeps box None
+    # and the archive keeps its box map
+    arch = ec.DemoArchive(4)
+    assert arch.insert(mk(3, 4))
+    for cand in (mk(5, 6), mk(3, 4)):
+        assert not arch.insert(cand)
+        assert cand.box is None
+    assert list(arch._by_box.values()) == arch.members
+
+
 def test_demo_one_member_per_box():
     arch = ec.DemoArchive(2)
     for c, l in [(50, 3), (51, 2), (49, 4), (60, 1), (1, 90)]:
@@ -490,6 +501,8 @@ def test_termination_validation():
     for ratio in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             ec.Termination(target_ratio=ratio, opt=3, budget=5)
+    with pytest.raises(ValueError):
+        ec.Termination(budget=5)._replace(budget=-1)
     g = ec.path(3)
     with pytest.raises(ValueError):
         ec.run("annealing", g, 0, ec.Termination(budget=10))
@@ -1052,7 +1065,7 @@ def test_run_traces_match_cold_solver_goldens():
                           until_zero_string=True)
     for algorithm in ec.ALGORITHMS:
         tr = ec.run(algorithm, g, 11, term, check_bounds=True, record_series=True)
-        got = dataclasses.asdict(tr)
+        got = tr._asdict()
         series = got.pop("series")
         if got["best_cover"] is not None:
             got["best_cover"] = "".join(map(str, got["best_cover"]))
