@@ -121,12 +121,13 @@ class RngStream:
         self._hits_p = None
 
     def uniform(self) -> float:
+        """The next uniform in [0, 1), as a Python float."""
         pos = self._pos
         if pos >= self.BLOCK:
             self._next_block()
             pos = 0
         self._pos = pos + 1
-        return self._buf[pos]
+        return self._buf.item(pos)
 
     def uniforms(self, k: int) -> np.ndarray:
         """Next k uniforms in [0, 1) as an array (a view; do not mutate)."""
@@ -172,13 +173,14 @@ class RngStream:
 # ---------------------------------------------------------------------------
 
 class Individual:
-    """A genotype with its cached objective values and derived data."""
+    """A genotype with its cached objective values and derived data; the
+    genotype is kept only as its ``code``, ``int.from_bytes(bits, "little")``."""
 
-    __slots__ = ("key", "cost", "lp2", "ones", "uncovered", "graph", "box", "_alt_pvec")
+    __slots__ = ("code", "cost", "lp2", "ones", "uncovered", "graph", "box", "_alt_pvec")
 
-    def __init__(self, key: bytes, cost: int, lp2: int, ones: int, uncovered: int,
+    def __init__(self, code: int, cost: int, lp2: int, ones: int, uncovered: int,
                  graph: WeightedGraph | None):
-        self.key = key
+        self.code = code
         self.cost = cost
         self.lp2 = lp2
         self.ones = ones
@@ -189,8 +191,8 @@ class Individual:
 
     @property
     def bits(self) -> np.ndarray:
-        """The genotype as a read-only uint8 array on the key's bytes."""
-        return np.frombuffer(self.key, np.uint8)
+        """The genotype as a read-only uint8 array."""
+        return np.frombuffer(self.code.to_bytes(self.graph.n, "little"), np.uint8)
 
     @property
     def fitness(self) -> Fitness:
@@ -210,15 +212,15 @@ class Evaluator:
     """Memoizing objective evaluator for one graph.
 
     The LP solve dominates iteration cost, so evaluations are cached per
-    genotype (keyed by the raw bit bytes). The cache is pure and may be
-    shared across sequential runs on the same graph; concurrent runs must
-    use separate Evaluator instances.
+    genotype, keyed by its code (see ``Individual``). The cache is pure and
+    may be shared across sequential runs on the same graph; concurrent runs
+    must use separate Evaluator instances.
 
-    A child is evaluated from its parent and the positions it flipped: it
-    is keyed by toggling the parent's key, and on a miss it gets its cost,
-    ones count and number of uncovered edges from the parent's, by a walk
-    over the flipped vertices' neighbours. A whole genotype is its flips
-    from 0^n. No uncovered edge means a cover, and no LP.
+    A child is evaluated from its parent and the positions it flipped: its
+    code is the parent's XORed with 256**v per flip, and on a miss it gets
+    its cost, ones count and number of uncovered edges from the parent's,
+    by a walk over the flipped vertices' neighbours. A whole genotype is its
+    flips from 0^n. No uncovered edge means a cover, and no LP.
 
     LP values come from one ``DoubleCover`` flow per graph, created when
     first needed. A child is solved from its parent's maximum flow, with the
@@ -226,9 +228,9 @@ class Evaluator:
     the last genotype solved, its residual state is stored, or it is a
     cover, whose maximum flow is the empty one (built on demand, never
     stored). Otherwise it is solved from the last flow solved, with the
-    positions where the two keys differ. States are stored only for archive
-    members (see ``retain``), so they take memory in proportion to the
-    archive, not to the cache.
+    positions where the two codes differ. States are stored only for
+    archive members (see ``retain``), so they take memory in proportion to
+    the archive, not to the cache.
 
     A solve given the archive's ``threshold`` stops once the flow reaches
     it, where the archive is sure to reject the candidate. When the
@@ -246,13 +248,14 @@ class Evaluator:
 
     def __init__(self, g: WeightedGraph):
         self.graph = g
-        self._cache: dict[bytes, Individual] = {}
-        self._bounded: dict[bytes, Individual] = {}  # lp2 a lower bound only
+        self._cache: dict[int, Individual] = {}
+        self._bounded: dict[int, Individual] = {}  # lp2 a lower bound only
         self._cover: DoubleCover | None = None
-        self._solved = bytes(g.n)  # key of the network's current flow
-        self._states: dict[bytes, tuple] = {}  # key -> DoubleCover state
+        self._solved = 0  # code of the network's current flow
+        self._states: dict[int, tuple] = {}  # code -> DoubleCover state
+        self._unit = [256 ** v for v in range(g.n)]  # XOR flips entry v of a code
         # the parent of whole genotypes: never cached or solved, so no lp2
-        self._zero = Individual(self._solved, 0, None, 0, g.m, g)
+        self._zero = Individual(0, 0, None, 0, g.m, g)
 
     def __len__(self) -> int:
         return len(self._cache) + len(self._bounded)
@@ -270,31 +273,32 @@ class Evaluator:
         may be a lower bound that is at least that threshold (and at least
         1, so it never reads as a cover); without it, lp2 is exact.
         """
+        n = self.graph.n
         if flips is None:
-            parent, flips = self._zero, np.flatnonzero(as_genotype(bits, self.graph.n)).tolist()
-        key = bytearray(parent.key)
+            parent, flips = self._zero, np.flatnonzero(as_genotype(bits, n)).tolist()
+        code = parent.code
+        unit = self._unit
         for v in flips:
-            key[v] = 1 - key[v]  # bytes are 0 or 1
-        key = bytes(key)
-        ind = self._cache.get(key)
+            code ^= unit[v]
+        ind = self._cache.get(code)
         if ind is not None:
             return ind
-        ind = self._bounded.get(key)
+        ind = self._bounded.get(code)
         if ind is not None:
             limit = None if threshold is None else threshold(ind.cost, ind.ones)
             if limit is not None and ind.lp2 >= limit:
                 return ind
-            del self._bounded[key]
-            ind.lp2 = self._solve(key, list(key), parent, flips, None)
+            del self._bounded[code]
+            ind.lp2 = self._solve(code, list(code.to_bytes(n, "little")), parent, flips, None)
             ind.box = None
-            self._cache[key] = ind
+            self._cache[code] = ind
             return ind
         cover = self._cover
         if cover is None:
             cover = self._cover = DoubleCover(self.graph)
         nbrs, w = cover._out, cover._w
         cost, ones, uncovered = parent.cost, parent.ones, parent.uncovered
-        sel = list(parent.key)
+        sel = list(parent.code.to_bytes(n, "little"))
         # one flip at a time, each against the selection left by the
         # ones before it, so an edge flipped at both ends counts once
         for v in flips:
@@ -321,31 +325,33 @@ class Evaluator:
                     # some edge is uncovered, so lp2 >= 2: a value
                     # stopped at 1 or more never reads as a cover
                     limit = max(limit, 1)
-            lp2 = self._solve(key, sel, parent, flips, limit)
-        ind = Individual(key, cost, lp2, ones, uncovered, self.graph)
+            lp2 = self._solve(code, sel, parent, flips, limit)
+        ind = Individual(code, cost, lp2, ones, uncovered, self.graph)
         if limit is not None and lp2 >= limit:
-            self._bounded[key] = ind
+            self._bounded[code] = ind
         else:
-            self._cache[key] = ind
+            self._cache[code] = ind
         return ind
 
-    def _solve(self, key: bytes, sel: list[int], parent: Individual, flips: list[int],
+    def _solve(self, code: int, sel: list[int], parent: Individual, flips: list[int],
                limit: int | None) -> int:
         cover = self._cover  # made by the evaluation that asks for this solve
         solved = self._solved
-        state = None if parent.key == solved else self._states.get(parent.key)
-        if state is None and parent.key != solved and not parent.uncovered:
-            state = cover.cover_state(parent.key)  # a cover's flow is known
-        if state is None and parent.key != solved:
-            # the flow is another genotype's: diff the keys
-            flips = [v for v, (a, b) in enumerate(zip(solved, key)) if a != b]
+        known = parent.code == solved
+        state = None if known else self._states.get(parent.code)
+        if state is None and not known and not parent.uncovered:  # a cover's flow is known
+            state = cover.cover_state(parent.code.to_bytes(len(sel), "little"))
+        if state is None and not known:
+            # the flow is another genotype's: diff the codes
+            diff = (solved ^ code).to_bytes(len(sel), "little")
+            flips = [v for v, d in enumerate(diff) if d]
         elif limit is not None:
             value = cover.bound(state, sel, flips, limit)
             if value >= limit:
                 return value  # no solve: the flow stays as it was
         if state is not None:
             cover.load(state)
-        self._solved = key
+        self._solved = code
         return cover.solve(sel, flips, limit)
 
     def retain(self, ind: Individual, members: list[Individual]) -> None:
@@ -355,10 +361,10 @@ class Evaluator:
         states of genotypes no longer in the archive.
         """
         states = self._states
-        if ind.key == self._solved and ind.key not in states:
-            states[ind.key] = self._cover.state()
+        if ind.code == self._solved and ind.code not in states:
+            states[ind.code] = self._cover.state()
         if len(states) > len(members):
-            self._states = {m.key: states[m.key] for m in members if m.key in states}
+            self._states = {m.code: states[m.code] for m in members if m.code in states}
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +703,7 @@ def run(algorithm: str,
             cap = 2 * opt + 1
 
     best_cost: int | None = None
-    best_key: bytes | None = None
+    best_code: int | None = None
     hit0 = hitc = hitt = None
     violations = 0
     max_arch = 0
@@ -715,27 +721,31 @@ def run(algorithm: str,
     # iteration 0 inserts the random initial genotype into the empty archive
     it = 0
     done = False
+    parent = None
     cand = ev.evaluate((rng.uniforms(n) < 0.5).view(np.uint8))
     while True:
-        # a candidate whose lp2 is only a bound is rejected, but still
-        # inserted: a dpbea group may shrink on a rejected insert
-        accepted = archive.insert(cand)
-        if accepted:
-            ev.retain(cand, archive.members)
-        size = len(archive.members)
-        if size > max_arch:
-            max_arch = size
-        # target_met() can change only where a milestone is set
-        if cand.cost == 0 and hit0 is None:
-            hit0 = it
-            done = target_met()
-        if cand.lp2 == 0 and (best_cost is None or cand.cost < best_cost):
-            best_cost, best_key = cand.cost, cand.key
-            if hitc is None:
-                hitc = it
-            if ratio is not None and hitt is None and best_cost * tgt_den <= tgt_num:
-                hitt = it
-            done = target_met()
+        if cand is parent:
+            accepted = False  # nothing flipped: every archive rejects a member as is
+        else:
+            # a candidate whose lp2 is only a bound is rejected, but still
+            # inserted: a dpbea group may shrink on a rejected insert
+            accepted = archive.insert(cand)
+            if accepted:
+                ev.retain(cand, archive.members)
+            size = len(archive.members)
+            if size > max_arch:
+                max_arch = size
+            # target_met() can change only where a milestone is set
+            if cand.cost == 0 and hit0 is None:
+                hit0 = it
+                done = target_met()
+            if cand.lp2 == 0 and (best_cost is None or cand.cost < best_cost):
+                best_cost, best_code = cand.cost, cand.code
+                if hitc is None:
+                    hitc = it
+                if ratio is not None and hitt is None and best_cost * tgt_den <= tgt_num:
+                    hitt = it
+                done = target_met()
         if cap is not None and (size > cap or algorithm == "dpbea" and archive.max_group_size > 2):
             violations += 1
         if record_series:
@@ -757,7 +767,7 @@ def run(algorithm: str,
         iterations=it,
         max_archive=max_arch,
         best_cost=best_cost,
-        best_cover=None if best_key is None else tuple(best_key),
+        best_cover=None if best_code is None else tuple(best_code.to_bytes(n, "little")),
         iters_to_zero_string=hit0,
         iters_to_cover=hitc,
         iters_to_target=hitt,

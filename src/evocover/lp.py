@@ -98,8 +98,8 @@ class DoubleCover:
     A cover's maximum flow needs no solve either: ``cover_state`` builds it.
     """
 
-    __slots__ = ("value2", "_w", "_flow", "_sup", "_dem", "_tail", "_head", "_out", "_in",
-                 "_box", "_local_edits", "_ep", "_seen_l", "_seen_r", "_via_l", "_via_r")
+    __slots__ = ("value2", "_w", "_flow", "_sup", "_dem", "_shared", "_tail", "_head", "_out",
+                 "_in", "_box", "_local_edits", "_ep", "_seen_l", "_seen_r", "_via_l", "_via_r")
 
     def __init__(self, g: WeightedGraph):
         n = g.n
@@ -108,6 +108,7 @@ class DoubleCover:
         self._flow = [0] * len(self._tail)
         self._sup = list(self._w)
         self._dem = list(self._w)
+        self._shared = False  # a state holds the flow lists: copy before a write
         self.value2 = 0  # value of the current flow, whose selection is 0^n
         # [the flow's cover certificate, or a final round's marks to read it
         # off], shared with the states taken of this flow; None if unknown
@@ -132,6 +133,9 @@ class DoubleCover:
         """
         cov = self._cover() if len(edits) <= self._local_edits else None
         self._box = None
+        if self._shared:
+            self._flow, self._sup, self._dem = self._flow[:], self._sup[:], self._dem[:]
+            self._shared = False
         if cov is not None:
             cov = list(cov)  # a stored state may hold the old one
         value, upper, fwd, bwd = self._edit(cov, sel, edits)
@@ -439,9 +443,11 @@ class DoubleCover:
         return box[0]
 
     def state(self) -> tuple:
-        """The current flow value, copies of the flow lists, and the cover
+        """The current flow value, the flow lists (not copies: the next
+        solve copies them first, so a state never changes), and the cover
         certificate's box (a solve never changes a cover in place)."""
-        return self.value2, self._flow[:], self._sup[:], self._dem[:], self._box
+        self._shared = True
+        return self.value2, self._flow, self._sup, self._dem, self._box
 
     def cover_state(self, key: bytes) -> tuple:
         """The maximum flow of a cover ``key`` (0/1 bytes), as ``state``
@@ -454,12 +460,11 @@ class DoubleCover:
         return 0, [0] * len(self._tail), spare, spare, [[0] * len(spare)]
 
     def load(self, state: tuple) -> None:
-        """Make a state returned by ``state`` current again; its selection
-        becomes the current one."""
+        """Make a copy of a state returned by ``state`` current; its
+        selection becomes the current one."""
         self.value2, flow, sup, dem, self._box = state
-        self._flow[:] = flow
-        self._sup[:] = sup
-        self._dem[:] = dem
+        self._flow, self._sup, self._dem = flow[:], sup[:], dem[:]
+        self._shared = False
 
 
 def solve_cover_lp(num_vertices: int,

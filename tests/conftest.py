@@ -43,6 +43,13 @@ def np_rng(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def flow_copy(cover):
+    """The current flow of a ``DoubleCover`` as its ``state`` gives it, with
+    the lists copied: ``state`` hands over the live lists, so only a copy
+    shows a later write into them."""
+    return cover.value2, cover._flow[:], cover._sup[:], cover._dem[:], cover._box
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import evocover as ec
 from evocover.lp import DoubleCover
-from conftest import dinic_lp2, make_instances, np_rng, random_genotype, tiny_box_coord
+from conftest import (dinic_lp2, flow_copy, make_instances, np_rng, random_genotype,
+                      tiny_box_coord)
 
 
 def mk(cost, lp2, ones=0):
@@ -194,7 +196,7 @@ def test_whole_genotype_of_wrong_length_or_entries_is_rejected(bits):
     with pytest.raises(ValueError):
         ev.evaluate(np.array(bits, dtype=np.uint8))
     assert len(ev) == 0
-    assert ev.evaluate([1, 0, 1, 0, 0]).key == bytes([1, 0, 1, 0, 0])
+    assert ev.evaluate([1, 0, 1, 0, 0]).code == int.from_bytes(bytes([1, 0, 1, 0, 0]), "little")
 
 
 def test_standard_mutation_rejects_entries_other_than_0_and_1():
@@ -693,7 +695,7 @@ def test_warm_lp_matches_cold_dinic_and_brute_force(walk):
         child = ev.evaluate(None, parent, None, sorted(flips))
         inds.append(child)
         if keep:
-            archive = [m for m in archive if m.key != child.key][-3:] + [child]
+            archive = [m for m in archive if m.code != child.code][-3:] + [child]
             ev.retain(child, archive)
     for ind in inds:
         cold = dinic_lp2(g, ind.bits)
@@ -724,8 +726,8 @@ def flip_walks(draw):
           phases=(Phase.generate,))
 @given(flip_walks())
 def test_delta_evaluation_matches_full_evaluation(walk):
-    # children given only as (parent, flips) are looked up by a key made
-    # from the parent's, and read their array off that key; parents are
+    # children given only as (parent, flips) are looked up by a code made
+    # from the parent's, and read their array off that code; parents are
     # also picked among covers and genotypes never retained, whose children
     # are solved from another genotype's flow
     g, steps = walk
@@ -736,16 +738,17 @@ def test_delta_evaluation_matches_full_evaluation(walk):
         parent = inds[pick % len(inds)]
         if kind == "edge" and g.edges:
             flips = flips | set(g.edges[e % g.m])
-        elif kind == "back" and parent.key in made_by:
-            flips = made_by[parent.key]
+        elif kind == "back" and parent.code in made_by:
+            flips = made_by[parent.code]
         flips = sorted(flips)
         bits = parent.bits.copy()
         bits[flips] ^= 1
         child = ev.evaluate(None, parent, lambda cost, ones: limit, flips)
-        made_by.setdefault(child.key, flips)
+        made_by.setdefault(child.code, flips)
         full = ec.Evaluator(g).evaluate(child.bits)
-        assert child.key == full.key == bits.tobytes() == child.bits.tobytes()
-        # the array shares the key's bytes: it must not be writable
+        assert child.code == full.code == int.from_bytes(bits.tobytes(), "little")
+        assert child.bits.tobytes() == bits.tobytes()
+        # the array is made from the code: it must not be writable
         assert not child.bits.flags.writeable
         with pytest.raises(ValueError):
             child.bits[0] ^= 1
@@ -758,15 +761,64 @@ def test_delta_evaluation_matches_full_evaluation(walk):
                                                  for v in range(g.n)]
         exact = dinic_lp2(g, bits)
         assert full.lp2 == exact
-        if child.key in ev._bounded:
+        if child.code in ev._bounded:
             assert max(limit, 1) <= child.lp2 <= exact
         else:
             assert child.lp2 == exact
         inds.append(child)
-        if keep and child.key in ev._cache:
-            archive = [m for m in archive if m.key != child.key][-3:] + [child]
+        if keep and child.code in ev._cache:
+            archive = [m for m in archive if m.code != child.code][-3:] + [child]
             ev.retain(child, archive)
 
+
+_CODE_GRAPHS = {
+    "gnp1": ec.gnp(1, 0.5, w_max=4, seed=1),
+    "gnp12": ec.gnp(12, 0.4, w_max=16, seed=1),
+    "gnp24": ec.gnp(24, 0.25, w_max=16, seed=2),
+    "gnp100": ec.gnp(100, 0.05, w_max=16, seed=1),
+    "edgeless": ec.build_graph(6, [3, 1, 4, 1, 5, 9], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CODE_GRAPHS))
+def test_genotype_codes_along_seeded_walks(name):
+    # an Individual keeps only its code, int.from_bytes(bits, "little"),
+    # and a child's code is its parent's with 256**v XORed in per flip
+    g = _CODE_GRAPHS[name]
+    rng = np_rng(g.n)
+    ev = ec.Evaluator(g)
+    inds = [ev.evaluate(random_genotype(g.n, rng))]
+    for _ in range(300):
+        parent = inds[int(rng.integers(len(inds)))]
+        k = 1 + int(rng.integers(min(g.n, 4)))
+        flips = sorted(rng.choice(g.n, size=k, replace=False).tolist())
+        child = ev.evaluate(None, parent, None, flips)
+        bits = parent.bits.copy()
+        bits[flips] ^= 1
+        assert child.bits.tolist() == bits.tolist()
+        inds.append(child)
+    seen = set()
+    for ind in inds:
+        bits = ind.bits
+        assert ind.code == int.from_bytes(bits.tobytes(), "little")
+        assert list(ind.code.to_bytes(g.n, "little")) == bits.tolist()
+        # the whole genotype finds the object its delta evaluation made
+        assert ev.evaluate(bits.tolist()) is ind
+        seen.add(ind.code)
+    assert len(ev) == len(seen)
+    covers = 0
+    for algorithm in ec.ALGORITHMS:
+        ev = ec.Evaluator(g)
+        tr = ec.run(algorithm, g, 3, ec.Termination(budget=3000, any_cover=True), evaluator=ev)
+        if tr.best_cover is None:  # plain mutation on gnp(100, 0.05)
+            continue
+        covers += 1
+        size = len(ev)
+        best = ev.evaluate(np.array(tr.best_cover, dtype=np.uint8))
+        assert len(ev) == size, algorithm  # the best cover was evaluated in the run
+        assert tuple(best.bits.tolist()) == tr.best_cover, algorithm
+        assert (best.cost, best.lp2) == (tr.best_cost, 0), algorithm
+    assert covers >= 2
 
 
 def test_residual_states_stay_within_the_archive():
@@ -781,7 +833,8 @@ def test_residual_states_stay_within_the_archive():
             sizes.append(len(archive.members))
             assert len(ev._states) <= len(archive.members) + 2, (algorithm, it)
             # every stored flow is exact, so it carries its optimal cover
-            for key, state in ev._states.items():
+            for code, state in ev._states.items():
+                key = code.to_bytes(g.n, "little")
                 scratch.load(state)
                 a = scratch._cover()
                 assert a is not None, (algorithm, it)
@@ -800,6 +853,33 @@ def test_residual_states_stay_within_the_archive():
         assert len(ev) > 10 * max(sizes)  # the memo is far larger than the store
 
 
+def test_stored_states_never_change():
+    # DoubleCover.state hands over the flow's own lists: the next solve
+    # copies them before it writes, and load binds copies, so every state
+    # stored for an archive member reads after each later iteration as a
+    # deep copy taken when it was stored
+    class CopiedEvaluator(ec.Evaluator):
+        def retain(self, ind, members):
+            super().retain(ind, members)
+            for state in self._states.values():
+                if id(state) not in copies:
+                    copies[id(state)] = state, copy.deepcopy(state[:4]), state[4]
+
+    for g, seed in ((ec.gnp(40, 0.1, w_max=16, seed=3), 5), (ec.gnp(12, 0.4, w_max=16, seed=1), 1)):
+        for algorithm in ec.ALGORITHMS:
+            copies = {}  # id -> (state, copy of its value and lists, its box); keeps ids unique
+            ev = CopiedEvaluator(g)
+
+            def check(it, cand, accepted, archive):
+                for state in ev._states.values():
+                    kept, lists, box = copies[id(state)]
+                    assert kept is state, (algorithm, it)
+                    assert state[:4] == lists and state[4] is box, (algorithm, it)
+
+            ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev, callback=check)
+            assert len(copies) > 5, (g.n, algorithm)
+
+
 def test_bounded_candidates_never_enter_the_archive():
     # searches stopped at the archive's threshold give lower bounds, which
     # must only ever be rejected; members and stored flows stay exact. At
@@ -814,16 +894,16 @@ def test_bounded_candidates_never_enter_the_archive():
         seen = {"bounded": 0}
 
         def check(it, cand, accepted, archive):
-            if cand.key in ev._bounded:
+            if cand.code in ev._bounded:
                 seen["bounded"] += 1
                 assert not accepted, (algorithm, it)
                 assert 1 <= cand.lp2 <= dinic_lp2(g, cand.bits), (algorithm, it)
             elif accepted:
                 assert cand.lp2 == dinic_lp2(g, cand.bits), (algorithm, it)
             for m in archive.members:
-                assert ev._cache.get(m.key) is m, (algorithm, it)
-            for key, state in ev._states.items():
-                assert key in ev._cache and state[0] == ev._cache[key].lp2, (algorithm, it)
+                assert ev._cache.get(m.code) is m, (algorithm, it)
+            for code, state in ev._states.items():
+                assert code in ev._cache and state[0] == ev._cache[code].lp2, (algorithm, it)
 
         for seed in seeds:
             ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev,
@@ -831,7 +911,7 @@ def test_bounded_candidates_never_enter_the_archive():
         assert seen["bounded"] > 100, algorithm
         for ind in list(ev._bounded.values()):  # a limitless evaluation solves exactly
             assert ev.evaluate(ind.bits).lp2 == dinic_lp2(g, ind.bits)
-            assert ind.key in ev._cache and ind.box is None
+            assert ind.code in ev._cache and ind.box is None
         assert not ev._bounded
 
 
@@ -873,11 +953,11 @@ def test_bound_answered_evaluations_leave_the_flow_alone(monkeypatch):
     class CheckedEvaluator(ec.Evaluator):
         answered = 0
 
-        def _solve(self, key, sel, parent, flips, limit):
+        def _solve(self, code, sel, parent, flips, limit):
             cover = self._cover
-            before = cover.state(), self._solved, dict(self._states)
+            before = flow_copy(cover), self._solved, dict(self._states)
             count = solves[0]
-            lp2 = super()._solve(key, sel, parent, flips, limit)
+            lp2 = super()._solve(code, sel, parent, flips, limit)
             if solves[0] == count:
                 self.answered += 1
                 state, solved, states = before
@@ -885,7 +965,8 @@ def test_bound_answered_evaluations_leave_the_flow_alone(monkeypatch):
                 assert self._solved == solved
                 assert self._states.keys() == states.keys()
                 assert all(self._states[k] is v for k, v in states.items())
-                exact = dinic_lp2(self.graph, np.frombuffer(key, np.uint8))
+                exact = dinic_lp2(self.graph, np.frombuffer(code.to_bytes(len(sel), "little"),
+                                                            np.uint8))
                 assert max(limit, 1) <= lp2 <= exact
             return lp2
 
@@ -944,15 +1025,16 @@ def test_children_of_a_cover_start_from_its_empty_flow(monkeypatch, n, p, seed):
     seen = {"exact": 0, "answered": 0, "stopped": 0, "diffed": 0}
     other = None
     for case in range(120):
-        if other is not None and other.uncovered and other.key != ev._solved:
+        if other is not None and other.uncovered and other.code != ev._solved:
             flips = [int(rng.integers(n))]
             child = other.bits.copy()
             child[flips] ^= 1
-            key = child.tobytes()
-            if not (key in ev._cache or key in ev._bounded
+            code = int.from_bytes(child.tobytes(), "little")
+            if not (code in ev._cache or code in ev._bounded
                     or all(child[u] or child[v] for u, v in g.edges)):
                 seen["diffed"] += 1
-                diff = [v for v in range(n) if key[v] != ev._solved[v]]
+                solved = ev._solved.to_bytes(n, "little")
+                diff = [v for v in range(n) if child[v] != solved[v]]
                 assert ev.evaluate(None, other, None, flips).lp2 == dinic_lp2(g, child), case
                 assert edits[-1] == diff, case
         other = ev.evaluate(random_genotype(n, rng))  # the flow is some other genotype's
@@ -965,16 +1047,16 @@ def test_children_of_a_cover_start_from_its_empty_flow(monkeypatch, n, p, seed):
         flips = sorted(rng.choice(n, size=1 + case % 5, replace=False).tolist())
         child = bits.copy()
         child[flips] ^= 1
-        if (ev._solved == parent.key or child.tobytes() in ev._cache
+        if (ev._solved == parent.code or int.from_bytes(child.tobytes(), "little") in ev._cache
                 or all(child[u] or child[v] for u, v in g.edges)):
             continue
         exact = dinic_lp2(g, child)
         limit = (None, exact + 1, int(rng.integers(1, exact + 1)))[case % 3]
-        before = ev._cover.state(), ev._solved, dict(ev._states)
+        before = flow_copy(ev._cover), ev._solved, dict(ev._states)
         count = len(edits)
         ind = ev.evaluate(None, parent, None if limit is None else lambda c, o: limit, flips)
         where = case, flips, limit
-        assert parent.key not in ev._states, where
+        assert parent.code not in ev._states, where
         if len(edits) == count:
             seen["answered"] += 1
             state, solved, states = before
@@ -983,7 +1065,7 @@ def test_children_of_a_cover_start_from_its_empty_flow(monkeypatch, n, p, seed):
             assert ev._solved == solved and ev._states == states, where
             continue
         assert edits[count:] == [flips], where
-        assert ev._solved == ind.key, where
+        assert ev._solved == ind.code, where
         if limit is None or ind.lp2 < limit:
             seen["exact"] += 1
             assert ind.lp2 == exact, where
@@ -1141,6 +1223,33 @@ def test_dpbea_archive_invariants_every_iteration():
     tr = ec.run("dpbea", g, 8, ec.Termination(budget=3000), callback=check,
                 check_bounds=True)
     assert tr.bound_violations == 0
+
+
+def _insert_view(archive):
+    """What an insert may change, with each member named by identity."""
+    return ([id(m) for m in archive.members], list(getattr(archive, "_costs", [])),
+            {box: id(m) for box, m in getattr(archive, "_by_box", {}).items()},
+            {k: [id(m) for m in grp] for k, grp in getattr(archive, "_groups", {}).items()})
+
+
+def test_a_member_offered_again_is_rejected_and_changes_nothing():
+    # run skips the insert of an unmutated parent, a current member: each
+    # archive must reject a member, and leave its members, costs, boxes and
+    # groups as they were (semo and demo at the weak-dominance bisect, where
+    # the member meets itself; dpbea at its identity test)
+    for g, seed in ((ec.gnp(12, 0.4, w_max=16, seed=1), 2), (ec.gnp(24, 0.25, w_max=16, seed=2), 1)):
+        for algorithm in ec.ALGORITHMS:
+            offered = [0]
+
+            def check(it, cand, accepted, archive):
+                for m in list(archive.members):
+                    before = _insert_view(archive)
+                    assert archive.insert(m) is False, (algorithm, it)
+                    assert _insert_view(archive) == before, (algorithm, it)
+                    offered[0] += 1
+
+            ec.run(algorithm, g, seed, ec.Termination(budget=500), callback=check)
+            assert offered[0] > 1000, (g.n, algorithm)
 
 
 def test_dpbea_members_match_a_rebuild_from_the_groups():

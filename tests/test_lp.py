@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import evocover as ec
 from evocover.lp import DoubleCover
-from conftest import (dinic_cover_lp, dinic_lp2, make_instances, np_rng, random_genotype,
-                      scipy_lp2, tiny_lp_value2)
+from conftest import (dinic_cover_lp, dinic_lp2, flow_copy, make_instances, np_rng,
+                      random_genotype, scipy_lp2, tiny_lp_value2)
 
 
 def full_residual(g):
@@ -277,7 +277,7 @@ def test_double_cover_edits_and_stale_loads_match_cold_solver(walk):
         assert_flow_state(g, cover, bits)
         if save:
             saved.append((cover.state(), bits, exact))
-    # saved copies must not alias the live lists: each still holds its flow
+    # no later solve may write into a saved state: each still holds its flow
     for state, bits, value in reversed(saved):
         cover.load(state)
         assert_flow_state(g, cover, bits)
@@ -357,7 +357,7 @@ def test_bound_is_a_lower_bound_and_reads_no_more_than_it_changes(walk):
         child = old.copy()
         child[sorted(flips)] ^= 1
         where = f"step {step}: {'live' if state is None else 'stored'}, flips {sorted(flips)}"
-        before = cover.state()
+        before = flow_copy(cover)
         cap = 2 * sum(g.weights) + 1 if limit is None else limit
         value = cover.bound(state, child.tolist(), sorted(flips), cap)
         exact = dinic_lp2(g, child)
