@@ -19,15 +19,11 @@ from .engine import (
     RunTrace,
     SemoArchive,
     Termination,
-    alternative_mutation,
     box_index,
     demo_archive_capacity,
-    dominates_strong,
-    dominates_weak,
     run,
-    standard_mutation,
 )
-from .exact import ExactResult, SearchBudgetExceeded, opt_branch_bound, opt_exhaustive
+from .exact import ExactResult, SearchBudgetExceeded, opt_branch_bound
 from .experiment import (
     CSV_COLUMNS,
     ConfigError,
@@ -53,7 +49,6 @@ from .graph import (
     genotype_from_string,
     genotype_to_string,
     gnp,
-    is_cover,
     load_instance,
     parse_instance,
     path,
@@ -109,7 +104,6 @@ __all__ = [
     "Termination",
     "TrialRecord",
     "WeightedGraph",
-    "alternative_mutation",
     "as_genotype",
     "box_index",
     "brute_force_lp",
@@ -117,17 +111,13 @@ __all__ = [
     "complete_bipartite",
     "cost",
     "demo_archive_capacity",
-    "dominates_strong",
-    "dominates_weak",
     "gen_instance",
     "genotype_from_string",
     "genotype_to_string",
     "gnp",
-    "is_cover",
     "load_instance",
     "lp_value2",
     "opt_branch_bound",
-    "opt_exhaustive",
     "parse_instance",
     "path",
     "read_records_csv",
@@ -141,7 +131,6 @@ __all__ = [
     "serialize_instance",
     "solve_cover_lp",
     "solve_lp",
-    "standard_mutation",
     "star",
     "write_records_csv",
 ]

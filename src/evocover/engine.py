@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil, log1p
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .graph import WeightedGraph, as_genotype
 from .lp import DoubleCover, lp_value2, solve_cover_lp  # noqa: F401
 
 ALGORITHMS = ("gsemo", "gsemo-alt", "demo", "dpbea")
+_BINARY, _HEX = bytes.maketrans(b"\0\1", b"01"), {48: "00", 49: "01"}  # bit codes
+_NEVER = 1 << 62  # > lp2
 
 
 class Fitness(NamedTuple):
@@ -41,16 +43,6 @@ class Fitness(NamedTuple):
 class BoxIndex(NamedTuple):
     b1: int
     b2: int
-
-
-def dominates_weak(a: Fitness, b: Fitness) -> bool:
-    """Componentwise <= on (cost, lp2)."""
-    return a[0] <= b[0] and a[1] <= b[1]
-
-
-def dominates_strong(a: Fitness, b: Fitness) -> bool:
-    """Weak dominance plus inequality somewhere."""
-    return a[0] <= b[0] and a[1] <= b[1] and a != b
 
 
 def _min_power_reaching(n: int, num: int, den: int) -> int:
@@ -167,6 +159,18 @@ class RngStream:
         self._at = at
         return out
 
+    def rows(self, width: int, most: int) -> np.ndarray:
+        """A (k, width) view of the next k <= most rows in the block, undrawn."""
+        pos = self._pos
+        k = min(most, (self.BLOCK - pos) // width)
+        return self._buf[pos:pos + k * width].reshape(k, width)
+
+    def skip(self, count: int) -> None:
+        """Draw ``count`` uniforms of the block, as ``rows`` shows them."""
+        self._pos += count
+        if self._hits_p is not None:
+            self._at = bisect_left(self._hits, self._pos)
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -214,7 +218,8 @@ class Evaluator:
     The LP solve dominates iteration cost, so evaluations are cached per
     genotype, keyed by its code (see ``Individual``). The cache is pure and
     may be shared across sequential runs on the same graph; concurrent runs
-    must use separate Evaluator instances.
+    must use separate Evaluator instances. ``dense`` mirrors it by bit code
+    for ``run``; its byte-code keys unpack faster on a miss.
 
     A child is evaluated from its parent and the positions it flipped: its
     code is the parent's XORed with 256**v per flip, and on a miss it gets
@@ -256,6 +261,7 @@ class Evaluator:
         self._unit = [256 ** v for v in range(g.n)]  # XOR flips entry v of a code
         # the parent of whole genotypes: never cached or solved, so no lp2
         self._zero = Individual(0, 0, None, 0, g.m, g)
+        self._table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._cache) + len(self._bounded)
@@ -292,6 +298,8 @@ class Evaluator:
             ind.lp2 = self._solve(code, list(code.to_bytes(n, "little")), parent, flips, None)
             ind.box = None
             self._cache[code] = ind
+            if self._table is not None:
+                self._put(ind)
             return ind
         cover = self._cover
         if cover is None:
@@ -331,7 +339,23 @@ class Evaluator:
             self._bounded[code] = ind
         else:
             self._cache[code] = ind
+        if self._table is not None:
+            self._put(ind)
         return ind
+
+    def dense(self) -> np.ndarray | None:
+        """Memo cost and lp2 (or bound) by bit code, -1 if unknown; made if
+        n <= 16 and lp2 <= 2 sum(w) < 2^62."""
+        g = self.graph
+        if self._table is None and g.n <= 16 and 2 * sum(g.weights) < 1 << 62:
+            self._table = np.full((2, 1 << g.n), -1, np.int64)
+            for ind in [*self._cache.values(), *self._bounded.values()]:
+                self._put(ind)
+        return self._table
+
+    def _put(self, ind: Individual) -> None:
+        bit = int(ind.code.to_bytes(self.graph.n, "big").translate(_BINARY), 2)
+        self._table[:, bit] = ind.cost, ind.lp2
 
     def _solve(self, code: int, sel: list[int], parent: Individual, flips: list[int],
                limit: int | None) -> int:
@@ -388,27 +412,6 @@ def _flip_positions(rng: RngStream, n: int,
     if focused is not None and rng.uniform() < 0.5:
         return (rng.uniforms(n) < focused()).nonzero()[0].tolist()
     return rng.below(n, 1.0 / n)
-
-
-def standard_mutation(x: Sequence[int] | np.ndarray, rng: RngStream) -> np.ndarray:
-    """Flip each bit independently with probability 1/n."""
-    bits = as_genotype(x, len(x)).copy()
-    bits[_flip_positions(rng, bits.size)] ^= 1
-    return bits
-
-
-def alternative_mutation(g: WeightedGraph, x: Sequence[int] | np.ndarray,
-                         rng: RngStream) -> np.ndarray:
-    """Uncovered-incidence mutation.
-
-    A fair coin picks the branch: either plain 1/n flips, or a focused step
-    where every vertex incident to an uncovered edge flips with probability
-    1/2 and all others with probability 1/n. Selected vertices have no
-    uncovered edges, so they always fall in the 1/n class.
-    """
-    bits = as_genotype(x, g.n).copy()
-    bits[_flip_positions(rng, g.n, lambda: _focused_pvec(g, bits))] ^= 1
-    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +668,9 @@ def run(algorithm: str,
     """One run of the chosen algorithm; one iteration = one parent selection,
     one mutation, one insertion attempt. Deterministic for a fixed seed.
     Iteration 0 inserts the random initial genotype; ``callback`` is called
-    after each later one. A ratio target below LP(0^n), which no cover
-    meets, needs a budget."""
+    after each later one, and must leave the archive as it is. A ratio
+    target below LP(0^n), which no cover meets, needs a budget. gsemo and
+    demo at n <= 16 commit runs of rejected memo hits in numpy batches."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     ev = evaluator if evaluator is not None else Evaluator(g)
@@ -702,6 +706,12 @@ def run(algorithm: str,
         elif opt is not None:
             cap = 2 * opt + 1
 
+    table = ev.dense() if algorithm in ("gsemo", "demo") else None
+    batch, wait, stale = 32, 0, True
+    if table is not None:
+        table_cost, table_lp2 = table
+        unit = 1 << np.arange(n, dtype=np.int64)
+
     best_cost: int | None = None
     best_code: int | None = None
     hit0 = hitc = hitt = None
@@ -732,6 +742,7 @@ def run(algorithm: str,
             accepted = archive.insert(cand)
             if accepted:
                 ev.retain(cand, archive.members)
+                stale = True
             size = len(archive.members)
             if size > max_arch:
                 max_arch = size
@@ -754,6 +765,44 @@ def run(algorithm: str,
             callback(it, cand, accepted, archive)
         if done or it == budget:
             break
+        if table is not None and not wait:
+            if stale:  # members' bit codes, costs, lp2s after _NEVER
+                codes = b"".join([m.code.to_bytes(n, "little") for m in archive.members])
+                codes = np.frombuffer(codes, np.uint8).reshape(size, n) @ unit
+                costs = table_cost[codes]
+                limits = np.concatenate(([_NEVER], table_lp2[codes]))
+                stale = False
+            while True:
+                rows = rng.rows(n + 1, batch if budget is None else min(batch, budget - it))
+                if not len(rows):
+                    break
+                flipped = (rows[:, 1:] < 1.0 / n) @ unit
+                child = codes[(rows[:, 0] * size).astype(np.intp)] ^ flipped
+                # commit up to a child unknown (-1) or under the threshold: at
+                # it, a zero string or cover meets one of cost 0 or no dearer
+                ok = table_lp2[child] >= limits[costs.searchsorted(table_cost[child], side="right")]
+                c = int(ok.argmin())
+                if ok[c]:
+                    c = len(ok)
+                rng.skip(c * (n + 1))
+                if record_series:
+                    series += [(i, size, best_cost) for i in range(it + 1, it + c + 1)]
+                if cap is not None and size > cap:
+                    violations += c
+                if callback is not None:
+                    for i in range(c):
+                        code = int(format(int(child[i]), "b").translate(_HEX), 16)
+                        callback(it + 1 + i, ev._cache.get(code) or ev._bounded[code],
+                                 False, archive)
+                it += c
+                if c < len(ok):
+                    batch, wait = 32, 16 if c < 8 else 0
+                    break
+                batch *= 2
+            if it == budget:
+                break
+        elif wait:
+            wait -= 1
         it += 1
         members = archive.members
         parent = members[int(rng.uniform() * len(members))]

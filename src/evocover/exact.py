@@ -1,24 +1,19 @@
 """Exact minimum-weight vertex cover for desk-scale instances.
 
-Two routes with identical contracts: a vectorized scan of all 2^n selections
-(n <= 16) and LP-bounded branch and bound (n <= 32), which edits one warm
-``DoubleCover`` flow along its depth-first search. Ties between optimal
-covers break to the lexicographically smallest witness bitstring, and both
-routes honor the same tie-break so their results are comparable verbatim.
+LP-bounded branch and bound (n <= 32), which edits one warm ``DoubleCover``
+flow along its depth-first search. Ties between optimal covers break to the
+lexicographically smallest witness bitstring.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .graph import WeightedGraph
 # solve_cover_lp is unused here but stays importable: the benchmark's tracer
 # (bench/tracing.py) wraps exact.solve_cover_lp by name.
 from .lp import DoubleCover, InstanceTooLargeError, solve_cover_lp  # noqa: F401
 
-EXHAUSTIVE_LIMIT = 16
 BRANCH_BOUND_LIMIT = 32
 DEFAULT_NODE_CAP = 1_000_000
 
@@ -32,29 +27,6 @@ class ExactResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def opt_exhaustive(g: WeightedGraph) -> ExactResult:
-    """Scan all 2^n selections; n <= 16."""
-    n = g.n
-    if n > EXHAUSTIVE_LIMIT:
-        raise InstanceTooLargeError(
-            f"exhaustive oracle limited to n <= {EXHAUSTIVE_LIMIT}, got {n}")
-    masks = np.arange(1 << n, dtype=np.uint32)
-    feasible = np.ones(masks.size, dtype=bool)
-    for u, v in g.edges:
-        feasible &= (masks & ((1 << u) | (1 << v))) != 0
-    costs = np.zeros(masks.size, dtype=np.int64)
-    lexkey = np.zeros(masks.size, dtype=np.uint32)
-    for i, w in enumerate(g.weights):
-        bit = ((masks >> i) & 1).astype(np.int64)
-        costs += w * bit
-        lexkey |= (bit << (n - 1 - i)).astype(np.uint32)
-    opt = int(costs[feasible].min())
-    tied = np.flatnonzero(feasible & (costs == opt))
-    mask = int(tied[np.argmin(lexkey[tied])])
-    witness = tuple((mask >> i) & 1 for i in range(n))
-    return ExactResult(opt_cost=opt, witness=witness)
-
-
 def opt_branch_bound(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP) -> ExactResult:
     """LP-bounded branch and bound; n <= 32.
 
@@ -62,10 +34,10 @@ def opt_branch_bound(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP) -> Exac
     chosen, or it is excluded and all its unchosen neighbors are chosen.
     Backtracking unchooses them. A node is pruned when cost-so-far plus the
     LP lower bound of the residual strictly exceeds the incumbent, which
-    preserves the exhaustive oracle's lexicographic tie-break among
-    equal-cost optima. The bounds come from one ``DoubleCover``, edited at
-    each node from the selection it last solved. No bound is solved before
-    the first incumbent, and each solve stops at the prune threshold.
+    keeps the lexicographic tie-break among equal-cost optima. The bounds
+    come from one ``DoubleCover``, edited at each node from the selection it
+    last solved. No bound is solved before the first incumbent, and each
+    solve stops at the prune threshold.
     """
     n = g.n
     if n > BRANCH_BOUND_LIMIT:

@@ -153,13 +153,6 @@ def cost(g: WeightedGraph, x: Sequence[int] | np.ndarray) -> int:
     return int(g._w64 @ bits)
 
 
-def is_cover(g: WeightedGraph, x: Sequence[int] | np.ndarray) -> bool:
-    """True iff every edge has a selected endpoint."""
-    sel = as_genotype(x, g.n).view(np.bool_)
-    tails, heads = g._arcs
-    return bool((sel[tails] | sel[heads]).all())
-
-
 def residual(g: WeightedGraph, x: Sequence[int] | np.ndarray) -> ResidualGraph:
     """Delete the selected vertices and every edge they cover."""
     bits = as_genotype(x, g.n)

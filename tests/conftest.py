@@ -4,7 +4,10 @@ The tiny oracles deliberately avoid the library code paths they check:
 fractional covers are enumerated over the half-integral grid with plain
 itertools, optimal covers by scanning all subsets, and box coordinates by
 exact Fraction powers. The cold LP oracle runs Dinic (``evocover.maxflow``),
-a max-flow algorithm the library's ``DoubleCover`` does not share.
+a max-flow algorithm the library's ``DoubleCover`` does not share. The
+dominance formulas, the two mutation operators, ``is_cover`` and the
+exhaustive OPT scan live here, not in the package, as do the archive rules
+written as plain list code that ``reference_loop`` runs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 import pytest
 
 import evocover as ec
+from evocover.engine import _flip_positions, _focused_pvec
+from evocover.lp import InstanceTooLargeError
 from evocover.maxflow import MaxFlow
 
 
@@ -152,6 +157,107 @@ def tiny_box_coord(value: Fraction, n: int) -> int:
         power *= base
         k += 1
     return k
+
+
+def dominates_weak(a, b):
+    """Componentwise <= on (cost, lp2)."""
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
+def dominates_strong(a, b):
+    """Weak dominance plus inequality somewhere."""
+    return a[0] <= b[0] and a[1] <= b[1] and a != b
+
+
+def is_cover(g, x):
+    """True iff every edge has a selected endpoint."""
+    sel = ec.as_genotype(x, g.n).view(np.bool_)
+    tails, heads = g._arcs
+    return bool((sel[tails] | sel[heads]).all())
+
+
+def standard_mutation(x, rng):
+    """Flip each bit independently with probability 1/n, drawn as ``run``
+    draws a plain mutation."""
+    bits = ec.as_genotype(x, len(x)).copy()
+    bits[_flip_positions(rng, bits.size)] ^= 1
+    return bits
+
+
+def alternative_mutation(g, x, rng):
+    """Uncovered-incidence mutation, drawn as ``run`` draws it: a fair coin
+    picks plain 1/n flips, or a focused step where every vertex incident to
+    an uncovered edge flips with probability 1/2 and all others with 1/n.
+    Selected vertices have no uncovered edges, so they always fall in the
+    1/n class."""
+    bits = ec.as_genotype(x, g.n).copy()
+    bits[_flip_positions(rng, g.n, lambda: _focused_pvec(g, bits))] ^= 1
+    return bits
+
+
+EXHAUSTIVE_LIMIT = 16
+
+
+def opt_exhaustive(g):
+    """Minimum-weight cover by a vectorized scan of all 2^n selections, n <=
+    16; the lexicographically smallest witness among ties, as
+    ``opt_branch_bound`` breaks them."""
+    n = g.n
+    if n > EXHAUSTIVE_LIMIT:
+        raise InstanceTooLargeError(
+            f"exhaustive oracle limited to n <= {EXHAUSTIVE_LIMIT}, got {n}")
+    masks = np.arange(1 << n, dtype=np.uint32)
+    feasible = np.ones(masks.size, dtype=bool)
+    for u, v in g.edges:
+        feasible &= (masks & ((1 << u) | (1 << v))) != 0
+    costs = np.zeros(masks.size, dtype=np.int64)
+    lexkey = np.zeros(masks.size, dtype=np.uint32)
+    for i, w in enumerate(g.weights):
+        bit = ((masks >> i) & 1).astype(np.int64)
+        costs += w * bit
+        lexkey |= (bit << (n - 1 - i)).astype(np.uint32)
+    opt = int(costs[feasible].min())
+    tied = np.flatnonzero(feasible & (costs == opt))
+    mask = int(tied[np.argmin(lexkey[tied])])
+    witness = tuple((mask >> i) & 1 for i in range(n))
+    return ec.ExactResult(opt_cost=opt, witness=witness)
+
+
+def dpbea_reference_insert(groups, cand):
+    """The dpbea group rule on a dict of groups, written apart from the archive."""
+    grp = groups.get(cand.ones, [])
+    if any(m is cand for m in grp):
+        return False
+    pool = grp + [cand]
+    min1 = min(pool, key=lambda y: 2 * y.cost + y.lp2)  # min keeps the first: incumbents
+    min2 = min(pool, key=lambda y: y.cost + y.lp2)
+    new = [min1] if min2 is min1 else [min1, min2]
+    if grp and new[0] is grp[0] and new[-1] is grp[-1]:
+        return False
+    groups[cand.ones] = new
+    return any(m is cand for m in new)
+
+
+def front_reference_insert(front, cand, n):
+    """gsemo's archive rule (n None) or demo's, with boxes of ratio
+    1 + 1/(2n), on a list of members, written apart from the archives."""
+    def weakly(a, b):  # a weakly dominates b
+        return a.cost <= b.cost and a.lp2 <= b.lp2
+
+    if n is None:
+        if any(weakly(m, cand) for m in front):
+            return False
+        kept = [m for m in front if not weakly(cand, m)]
+    else:
+        box = ec.box_index(cand.fitness, n)
+        mates = [m for m in front if ec.box_index(m.fitness, n) == box]
+        if any(weakly(m, cand) and m.fitness != cand.fitness for m in front):
+            return False  # strongly dominated
+        if any(m.cost + m.lp2 <= cand.cost + cand.lp2 for m in mates):
+            return False  # lost the box tie
+        kept = [m for m in front if not weakly(cand, m) and m not in mates]
+    front[:] = sorted(kept + [cand], key=lambda m: m.cost)
+    return True
 
 
 def all_graphs_up_to(n_max, weights_for):

@@ -23,7 +23,7 @@ import pytest
 import evocover as ec
 from evocover import experiment as expmod
 from evocover.cli import main
-from conftest import all_graphs_up_to, np_rng, random_genotype, tiny_lp_value2
+from conftest import all_graphs_up_to, np_rng, opt_exhaustive, random_genotype, tiny_lp_value2
 
 
 def ceil_log2(x: int) -> int:
@@ -200,7 +200,7 @@ def test_criterion_04_exact_oracle_equivalence():
         n, p, w_max = next(grid)
         g = ec.gnp(n, p, w_max=w_max, seed=4000 + i)
         bb = ec.opt_branch_bound(g)
-        ex = ec.opt_exhaustive(g)
+        ex = opt_exhaustive(g)
         assert bb == ex, (i, g, bb, ex)
         assert (ec.lp_value2(g, [0] * g.n) + 1) // 2 <= bb.opt_cost, (i, g)
     print("[criterion 4] PASS: branch-and-bound == exhaustive on 300 instances "

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import evocover as ec
 from evocover.lp import DoubleCover
-from conftest import (dinic_lp2, flow_copy, make_instances, np_rng, random_genotype,
-                      tiny_box_coord)
+from conftest import (alternative_mutation, dinic_lp2, dominates_strong, dominates_weak,
+                      dpbea_reference_insert, flow_copy, front_reference_insert, make_instances,
+                      np_rng, opt_exhaustive, random_genotype, standard_mutation, tiny_box_coord)
 
 
 def mk(cost, lp2, ones=0):
@@ -30,12 +31,12 @@ def mk(cost, lp2, ones=0):
 # ---------------------------------------------------------------------------
 
 def test_dominance_examples():
-    assert ec.dominates_weak(ec.Fitness(3, 4), ec.Fitness(3, 4))
-    assert not ec.dominates_strong(ec.Fitness(3, 4), ec.Fitness(3, 4))
-    assert ec.dominates_weak(ec.Fitness(2, 4), ec.Fitness(3, 4))
-    assert ec.dominates_strong(ec.Fitness(2, 4), ec.Fitness(3, 4))
-    assert not ec.dominates_weak(ec.Fitness(2, 5), ec.Fitness(3, 4))
-    assert not ec.dominates_weak(ec.Fitness(3, 4), ec.Fitness(2, 5))
+    assert dominates_weak(ec.Fitness(3, 4), ec.Fitness(3, 4))
+    assert not dominates_strong(ec.Fitness(3, 4), ec.Fitness(3, 4))
+    assert dominates_weak(ec.Fitness(2, 4), ec.Fitness(3, 4))
+    assert dominates_strong(ec.Fitness(2, 4), ec.Fitness(3, 4))
+    assert not dominates_weak(ec.Fitness(2, 5), ec.Fitness(3, 4))
+    assert not dominates_weak(ec.Fitness(3, 4), ec.Fitness(2, 5))
 
 
 def test_box_index_examples():
@@ -151,6 +152,31 @@ def test_rng_below_matches_uniforms_over_a_long_random_interleaving():
             assert a.uniform() == b.uniform()
 
 
+def test_rng_rows_and_skip_draw_as_uniform_and_below():
+    # a batch reads rows of 1 + n uniforms without drawing them, then skips
+    # the rows it commits; a twin stream draws each committed row as the
+    # scalar loop does, with uniform() and below(n, 1/n), and so does the
+    # iteration after each batch on both. Rows never leave the block, so at
+    # its end that iteration replaces it (4096 is no multiple of 13).
+    n, p = 12, 1 / 12
+    a, b = ec.RngStream(13), ec.RngStream(13)
+    pick = np.random.default_rng(6)
+    cut = 0
+    for _ in range(600):
+        most = int(pick.integers(1, 80))
+        rows = a.rows(n + 1, most)
+        commit = int(pick.integers(len(rows) + 1))
+        for row in rows[:commit]:
+            assert row[0] == b.uniform()
+            assert np.flatnonzero(row[1:] < p).tolist() == b.below(n, p)
+        a.skip(commit * (n + 1))
+        cut += len(rows) < most and commit == len(rows)  # the next draws cross
+        assert a.uniform() == b.uniform()
+        assert a.below(n, p) == b.below(n, p)
+    assert cut > 5
+    assert a.uniform() == b.uniform()
+
+
 # ---------------------------------------------------------------------------
 # Mutation operators
 # ---------------------------------------------------------------------------
@@ -164,12 +190,12 @@ def test_mutations_draw_as_the_uniform_formulas():
     x = np.zeros(n, dtype=np.uint8)
     for _ in range(3000):
         before = x.copy()
-        y = ec.standard_mutation(x, a)
+        y = standard_mutation(x, a)
         assert np.array_equal(y, x ^ (b.uniforms(n) < 1 / n))
         pvec = 1 / n
         if b.uniform() < 0.5:
             pvec = ec.engine._focused_pvec(g, x)
-        z = ec.alternative_mutation(g, x, a)
+        z = alternative_mutation(g, x, a)
         assert np.array_equal(z, x ^ (b.uniforms(n) < pvec))
         assert np.array_equal(x, before)
         x = z
@@ -177,13 +203,13 @@ def test_mutations_draw_as_the_uniform_formulas():
 
 def test_standard_mutation_n1_is_complement():
     rng = ec.RngStream(0)
-    assert ec.standard_mutation(np.array([0], dtype=np.uint8), rng).tolist() == [1]
-    assert ec.standard_mutation(np.array([1], dtype=np.uint8), rng).tolist() == [0]
+    assert standard_mutation(np.array([0], dtype=np.uint8), rng).tolist() == [1]
+    assert standard_mutation(np.array([1], dtype=np.uint8), rng).tolist() == [0]
 
 
 def test_standard_mutation_deterministic():
     x = np.zeros(8, dtype=np.uint8)
-    got = [ec.standard_mutation(x, ec.RngStream(123)).tolist() for _ in range(3)]
+    got = [standard_mutation(x, ec.RngStream(123)).tolist() for _ in range(3)]
     assert got[0] == got[1] == got[2]
 
 
@@ -201,7 +227,7 @@ def test_whole_genotype_of_wrong_length_or_entries_is_rejected(bits):
 
 def test_standard_mutation_rejects_entries_other_than_0_and_1():
     with pytest.raises(ValueError):
-        ec.standard_mutation(np.array([1, 0, 2], dtype=np.uint8), ec.RngStream(0))
+        standard_mutation(np.array([1, 0, 2], dtype=np.uint8), ec.RngStream(0))
 
 
 def test_standard_mutation_flip_rate():
@@ -465,6 +491,14 @@ class ScriptedRng:
     def below(self, k, p):  # the plain mutation branch draws through this
         return np.flatnonzero(self.uniforms(k) < p).tolist()
 
+    def rows(self, width, most):  # a batch reads whole rows of the script ahead
+        k = min(most, len(self.values) // width)
+        return np.array(self.values[:k * width]).reshape(k, width)
+
+    def skip(self, count):  # and then draws the rows it committed
+        assert count <= len(self.values), "loop drew more values than scripted"
+        del self.values[:count]
+
 
 def test_gsemo_loop_structure(monkeypatch):
     # one iteration = parent draw, then n flip draws; initialization draws n
@@ -491,6 +525,66 @@ def test_alt_loop_draws_branch_coin(monkeypatch):
     assert not script
 
 
+def test_gsemo_batch_commits_scripted_rows(monkeypatch):
+    # after initialization the memo knows 00: rows that flip nothing give
+    # it again, the archive rejects it, and a batch commits them and skips
+    # their draws; the next row flips bit 0, a genotype not yet known, and
+    # runs on the scalar path
+    g = ec.build_graph(2, [1, 1], [(0, 1)])
+    script = [0.9, 0.9,        # init genotype (0,0): fitness (0, 2)
+              0.1, 0.7, 0.8,   # it 1: parent 0, no flips: committed
+              0.2, 0.6, 0.9,   # it 2: likewise
+              0.3, 0.0, 0.9]   # it 3: flip bit 0 -> (1,0), a cover, scalar
+    skipped = []
+
+    class RecordedRng(ScriptedRng):
+        def skip(self, count):
+            skipped.append(count)
+            super().skip(count)
+
+    monkeypatch.setattr(ec.engine, "RngStream", lambda seed: RecordedRng(script))
+    seen = []
+    tr = ec.run("gsemo", g, 0, ec.Termination(budget=3), record_series=True,
+                callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
+    assert skipped == [6]
+    assert seen == [(1, 0, False), (2, 0, False), (3, 1, True)]
+    assert tr.series == [(0, 1, None), (1, 1, None), (2, 1, None), (3, 2, 1)]
+    assert tr.iters_to_cover == 3 and tr.best_cost == 1
+    assert not script, "loop drew fewer values than scripted"
+
+
+@pytest.mark.parametrize("n", [1, 12, 16])
+def test_dense_table_mirrors_the_memo(n):
+    # after runs of all four loops on one Evaluator, each genotype in the
+    # memo has its cost and lp2 (its bound, if bounded) at its bit code in
+    # the table, and every other entry is -1. The first gsemo run makes the
+    # table from what gsemo-alt and dpbea left in the memo; evaluate keeps
+    # it from then on, through bounded entries solved again too.
+    g = ec.gnp(n, 0.4, w_max=16, seed=2)
+    ev = ec.Evaluator(g)
+    for algorithm, seed in (("gsemo-alt", 1), ("dpbea", 1), ("gsemo", 2), ("demo", 3),
+                            ("dpbea", 4), ("gsemo-alt", 5)):
+        if algorithm == "gsemo":
+            assert ev._table is None
+            bounded = set(ev._bounded)
+        ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev)
+    expect = np.full((2, 1 << n), -1)
+    for code, ind in [*ev._cache.items(), *ev._bounded.items()]:
+        bit = sum(1 << v for v, b in enumerate(code.to_bytes(n, "little")) if b)
+        expect[:, bit] = ind.cost, ind.lp2
+    assert np.array_equal(ev.dense(), expect)
+    assert n == 1 or bounded & set(ev._cache)  # some bounded entries were solved again
+
+
+def test_dense_table_only_where_int64_is_exact():
+    # lp2 <= 2 sum(w), which must stay below 2^62; and n <= 16
+    pair = [(0, 1)]
+    assert ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60 - 1], pair)).dense() is not None
+    assert ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60], pair)).dense() is None
+    assert ec.Evaluator(ec.gnp(16, 0.3, seed=1)).dense().shape == (2, 1 << 16)
+    assert ec.Evaluator(ec.gnp(17, 0.3, seed=1)).dense() is None
+
+
 def test_termination_validation():
     with pytest.raises(ValueError):
         ec.Termination()
@@ -512,7 +606,7 @@ def test_termination_validation():
 
 def test_float_ratio_target_runs_as_the_equal_fraction():
     g = ec.gnp(12, 0.4, w_max=16, seed=1)
-    opt = ec.opt_exhaustive(g).opt_cost
+    opt = opt_exhaustive(g).opt_cost
     hits = 0
     for ratio, exact in ((1.5, Fraction(3, 2)), (1.25, Fraction(5, 4)), (2, Fraction(2))):
         term = ec.Termination(budget=2000, target_ratio=ratio, opt=opt)
@@ -566,7 +660,7 @@ def test_unreachable_ratio_target_without_budget_is_rejected():
             ec.run("gsemo", g, 1, ec.Termination(target_ratio=ratio, opt=opt))
         tr = ec.run("gsemo", g, 1, ec.Termination(budget=200, target_ratio=ratio, opt=opt))
         assert tr.censored and tr.iterations == 200
-    opt = ec.opt_exhaustive(g).opt_cost
+    opt = opt_exhaustive(g).opt_cost
     for algorithm in ec.ALGORITHMS:
         tr = ec.run(algorithm, g, 1, ec.Termination(target_ratio=Fraction(5, 4), opt=opt))
         assert not tr.censored and 4 * tr.best_cost <= 5 * opt
@@ -1158,8 +1252,8 @@ def test_run_traces_match_cold_solver_goldens():
 def _pairwise_no_strong_domination(members):
     for i, a in enumerate(members):
         for b in members[i + 1:]:
-            assert not ec.dominates_strong(a.fitness, b.fitness)
-            assert not ec.dominates_strong(b.fitness, a.fitness)
+            assert not dominates_strong(a.fitness, b.fitness)
+            assert not dominates_strong(b.fitness, a.fitness)
 
 
 def test_gsemo_archive_invariants_every_iteration():
@@ -1174,8 +1268,8 @@ def test_gsemo_archive_invariants_every_iteration():
         assert len(members) <= 2 * opt + 1
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                assert not ec.dominates_weak(a.fitness, b.fitness)
-                assert not ec.dominates_weak(b.fitness, a.fitness)
+                assert not dominates_weak(a.fitness, b.fitness)
+                assert not dominates_weak(b.fitness, a.fitness)
         qualified = [m.lp2 for m in members if m.cost + m.lp2 <= 2 * opt]
         if qualified:
             current = min(qualified)
@@ -1267,21 +1361,6 @@ def test_dpbea_members_match_a_rebuild_from_the_groups():
         ec.run("dpbea", g, seed, ec.Termination(budget=3000), callback=check)
 
 
-def _dpbea_reference_insert(groups, cand):
-    """The dpbea group rule on a dict of groups, written apart from the archive."""
-    grp = groups.get(cand.ones, [])
-    if any(m is cand for m in grp):
-        return False
-    pool = grp + [cand]
-    min1 = min(pool, key=lambda y: 2 * y.cost + y.lp2)  # min keeps the first: incumbents
-    min2 = min(pool, key=lambda y: y.cost + y.lp2)
-    new = [min1] if min2 is min1 else [min1, min2]
-    if grp and new[0] is grp[0] and new[-1] is grp[-1]:
-        return False
-    groups[cand.ones] = new
-    return any(m is cand for m in new)
-
-
 _DPBEA_OPS = st.lists(st.one_of(
     st.tuples(st.just("new"), st.integers(0, 6), st.integers(0, 6), st.integers(0, 4)),
     st.tuples(st.just("again"), st.integers(0, 10 ** 6)),  # a member proposed again
@@ -1305,7 +1384,7 @@ def test_dpbea_members_and_threshold_match_the_sorted_groups(ops):
         else:
             t = arch.threshold(op[1], op[2])
             cand = mk(op[1], 0 if t is None else max(t, 0), ones=op[2])
-        expect = _dpbea_reference_insert(groups, cand)
+        expect = dpbea_reference_insert(groups, cand)
         assert arch.insert(cand) == expect, (step, op)
         oracle = [m for k in sorted(groups) for m in groups[k]]
         assert len(arch.members) == len(oracle), (step, op)
@@ -1316,28 +1395,6 @@ def test_dpbea_members_and_threshold_match_the_sorted_groups(ops):
                 want = None if grp is None else max(2 * (grp[0].cost - cost) + grp[0].lp2,
                                                     grp[-1].cost - cost + grp[-1].lp2)
                 assert arch.threshold(cost, ones) == want, (step, op, cost, ones)
-
-
-def _front_reference_insert(front, cand, n):
-    """gsemo's archive rule (n None) or demo's, with boxes of ratio
-    1 + 1/(2n), on a list of members, written apart from the archives."""
-    def weakly(a, b):  # a weakly dominates b
-        return a.cost <= b.cost and a.lp2 <= b.lp2
-
-    if n is None:
-        if any(weakly(m, cand) for m in front):
-            return False
-        kept = [m for m in front if not weakly(cand, m)]
-    else:
-        box = ec.box_index(cand.fitness, n)
-        mates = [m for m in front if ec.box_index(m.fitness, n) == box]
-        if any(weakly(m, cand) and m.fitness != cand.fitness for m in front):
-            return False  # strongly dominated
-        if any(m.cost + m.lp2 <= cand.cost + cand.lp2 for m in mates):
-            return False  # lost the box tie
-        kept = [m for m in front if not weakly(cand, m) and m not in mates]
-    front[:] = sorted(kept + [cand], key=lambda m: m.cost)
-    return True
 
 
 _FRONT_OPS = st.lists(st.one_of(
@@ -1368,7 +1425,7 @@ def test_pareto_and_demo_members_and_threshold_match_the_sorted_front(n, ops):
             cand = arch.members[op[1] % len(arch.members)]
             if op[0] == "near":
                 cand = mk(max(cand.cost + op[2], 0), max(cand.lp2 + op[3], 0))
-        expect = _front_reference_insert(front, cand, n)
+        expect = front_reference_insert(front, cand, n)
         assert arch.insert(cand) == expect, (step, op)
         assert len(arch.members) == len(front), (step, op)
         assert all(m is f for m, f in zip(arch.members, front)), (step, op)

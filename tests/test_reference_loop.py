@@ -1,0 +1,88 @@
+"""``engine.run`` against the literal reference loop (``reference_loop``).
+
+Both must give equal ``RunTrace``s, series included, and the same decision
+sequence: for each iteration, the candidate's code, whether the archive
+took it, and the exact lp2 of every accepted candidate. A rejected
+candidate's lp2 is left out, since the engine may hold only a lower bound.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+import evocover as ec
+from reference_loop import reference_run
+
+
+def decisions(run, algorithm, g, seed, term, **kwargs):
+    seq = []
+
+    def record(it, cand, accepted, archive):
+        seq.append((it, cand.code, accepted, cand.lp2 if accepted else None))
+
+    trace = run(algorithm, g, seed, term, check_bounds=True, record_series=True,
+                callback=record, **kwargs)
+    return trace, seq
+
+
+def assert_runs_match(g, seeds, terms, algorithms=ec.ALGORITHMS):
+    """Each algorithm runs every (seed, termination) on one shared Evaluator."""
+    known = {}
+    for algorithm in algorithms:
+        ev = ec.Evaluator(g)
+        for seed in seeds:
+            for term in terms:
+                fast = decisions(ec.run, algorithm, g, seed, term, evaluator=ev)
+                slow = decisions(reference_run, algorithm, g, seed, term, known=known)
+                where = algorithm, g.n, seed, term
+                assert fast[1] == slow[1], where
+                assert fast[0] == slow[0], where
+
+
+def terminations(g, budget):
+    """A budget, then a ratio and an any-cover target, each run on until the
+    zero string has entered as well."""
+    opt = ec.opt_branch_bound(g).opt_cost
+    return (ec.Termination(budget=budget),
+            ec.Termination(budget=budget, target_ratio=Fraction(1), opt=opt,
+                           until_zero_string=True),
+            ec.Termination(budget=budget, any_cover=True, until_zero_string=True))
+
+
+@st.composite
+def graphs(draw):
+    """gnp on <= 14 vertices; w_max 2^20 makes demo's boxes bind."""
+    n = draw(st.integers(1, 14))
+    return ec.gnp(n, draw(st.sampled_from((0.2, 0.4, 0.7))),
+                  w_max=draw(st.sampled_from((1, 16, 2 ** 20))), seed=draw(st.integers(0, 99)))
+
+
+# no shrink phase: each example runs the reference loop, which evaluates
+# every new genotype cold
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          phases=(Phase.generate,))
+@given(graphs(), st.integers(0, 10 ** 6))
+def test_engine_matches_the_reference_loop(g, seed):
+    assert_runs_match(g, (seed, seed + 1, seed + 2), terminations(g, 300))
+
+
+@pytest.mark.parametrize("w_max", [1, 16, 2 ** 20])
+def test_engine_matches_the_reference_loop_on_a_saturated_memo(w_max):
+    # at n = 8 the memo holds every genotype after a few hundred iterations,
+    # so nearly every iteration of gsemo and demo is batched
+    g = ec.gnp(8, 0.4, w_max=w_max, seed=3)
+    assert_runs_match(g, (1, 2, 3), terminations(g, 2000))
+
+
+def test_engine_matches_the_reference_loop_without_a_table():
+    # beyond n = 16, and where 2 * sum(w) reaches 2^62, gsemo and demo run
+    # on the scalar path alone
+    for g in (ec.gnp(17, 0.3, w_max=16, seed=1),
+              ec.build_graph(6, [2 ** 61, 1, 3, 2 ** 60, 5, 7],
+                             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])):
+        assert ec.Evaluator(g).dense() is None
+        assert_runs_match(g, (1, 2, 3), [ec.Termination(budget=400)], ("gsemo", "demo"))
