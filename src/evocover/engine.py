@@ -16,8 +16,6 @@ comparator decisions in integers. The linear forms "Cost + 2 LP" and
 "Cost + LP" are evaluated as cost + lp2 and 2 * cost + lp2 respectively.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil, log1p
@@ -218,8 +216,9 @@ class Evaluator:
     The LP solve dominates iteration cost, so evaluations are cached per
     genotype, keyed by its code (see ``Individual``). The cache is pure and
     may be shared across sequential runs on the same graph; concurrent runs
-    must use separate Evaluator instances. ``dense`` mirrors it by bit code
-    for ``run``; its byte-code keys unpack faster on a miss.
+    must use separate Evaluator instances. ``_table`` mirrors it by bit code
+    for ``run`` if n <= 16 and 2 sum(w) < 2^62; its byte-code keys unpack
+    faster on a miss.
 
     A child is evaluated from its parent and the positions it flipped: its
     code is the parent's XORed with 256**v per flip, and on a miss it gets
@@ -258,10 +257,11 @@ class Evaluator:
         self._cover: DoubleCover | None = None
         self._solved = 0  # code of the network's current flow
         self._states: dict[int, tuple] = {}  # code -> DoubleCover state
-        self._unit = [256 ** v for v in range(g.n)]  # XOR flips entry v of a code
+        self._unit = [1 << 8 * v for v in range(g.n)]  # XOR flips entry v of a code
         # the parent of whole genotypes: never cached or solved, so no lp2
         self._zero = Individual(0, 0, None, 0, g.m, g)
-        self._table: np.ndarray | None = None
+        self._table = (np.full((2, 1 << g.n), -1, np.int64)
+                       if g.n <= 16 and 2 * sum(g.weights) < 1 << 62 else None)
 
     def __len__(self) -> int:
         return len(self._cache) + len(self._bounded)
@@ -343,16 +343,6 @@ class Evaluator:
             self._put(ind)
         return ind
 
-    def dense(self) -> np.ndarray | None:
-        """Memo cost and lp2 (or bound) by bit code, -1 if unknown; made if
-        n <= 16 and lp2 <= 2 sum(w) < 2^62."""
-        g = self.graph
-        if self._table is None and g.n <= 16 and 2 * sum(g.weights) < 1 << 62:
-            self._table = np.full((2, 1 << g.n), -1, np.int64)
-            for ind in [*self._cache.values(), *self._bounded.values()]:
-                self._put(ind)
-        return self._table
-
     def _put(self, ind: Individual) -> None:
         bit = int(ind.code.to_bytes(self.graph.n, "big").translate(_BINARY), 2)
         self._table[:, bit] = ind.cost, ind.lp2
@@ -423,7 +413,9 @@ def _flip_positions(rng: RngStream, n: int,
 #
 # Each archive's threshold(cost, ones) is the smallest lp2 at which insert
 # is sure to reject a candidate of that cost and ones count, or None; the
-# Evaluator's LP search stops there (see Evaluator).
+# Evaluator's LP search stops there (see Evaluator). batch_test(n) gives
+# run's f(cost, lp2, ones or None): True where insert surely rejects and
+# changes nothing.
 
 class SemoArchive:
     """Pareto archive: reject weakly dominated candidates, evict the dominated."""
@@ -440,6 +432,11 @@ class SemoArchive:
         dominates the candidate, or has its fitness and so wins their box tie.)"""
         i = bisect_right(self._costs, cost)
         return self.members[i - 1].lp2 if i else None
+
+    def batch_test(self, n: int):  # at the threshold
+        costs = np.array(self._costs)
+        limits = np.array([_NEVER] + [m.lp2 for m in self.members])
+        return lambda cost, lp2, ones: lp2 >= limits[costs.searchsorted(cost, side="right")]
 
     def insert(self, cand: Individual) -> bool:
         i = bisect_right(self._costs, cand.cost)
@@ -525,6 +522,17 @@ class DpbeaArchive:
             return None
         m1, m2 = grp[0], grp[-1]
         return max(2 * (m1.cost - cost) + m1.lp2, m2.cost - cost + m2.lp2)
+
+    def batch_test(self, n: int):
+        # never (_NEVER > 2*cost+lp2) with no group, or with [a, b] tied on
+        # cost+lp2, which any insert collapses to [a]; else at the threshold
+        k1, k2 = np.full((2, n + 1), _NEVER)
+        for ones, grp in self._groups.items():
+            m1, m2 = grp[0], grp[-1]
+            if m1 is m2 or m1.cost + m1.lp2 != m2.cost + m2.lp2:
+                k1[ones] = 2 * m1.cost + m1.lp2
+                k2[ones] = m2.cost + m2.lp2
+        return lambda cost, lp2, ones: (2 * cost + lp2 >= k1[ones]) & (cost + lp2 >= k2[ones])
 
     def insert(self, cand: Individual) -> bool:
         k = cand.ones
@@ -663,14 +671,14 @@ def run(algorithm: str,
         evaluator: Evaluator | None = None,
         check_bounds: bool = False,
         record_series: bool = False,
-        callback: Callable[[int, Individual, bool, object], None] | None = None,
+        callback: "Callable[[int, Individual, bool, object], None] | None" = None,
         ) -> RunTrace:
     """One run of the chosen algorithm; one iteration = one parent selection,
     one mutation, one insertion attempt. Deterministic for a fixed seed.
     Iteration 0 inserts the random initial genotype; ``callback`` is called
     after each later one, and must leave the archive as it is. A ratio
-    target below LP(0^n), which no cover meets, needs a budget. gsemo and
-    demo at n <= 16 commit runs of rejected memo hits in numpy batches."""
+    target below LP(0^n), which no cover meets, needs a budget. At n <= 16,
+    runs of rejected memo hits are committed in numpy batches (README)."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     ev = evaluator if evaluator is not None else Evaluator(g)
@@ -681,6 +689,7 @@ def run(algorithm: str,
     archive = make_archive(algorithm, n)
     threshold = archive.threshold
     use_alt = algorithm in ("gsemo-alt", "dpbea")
+    dpbea = algorithm == "dpbea"
 
     opt = termination.opt
     ratio = termination.target_ratio
@@ -701,16 +710,18 @@ def run(algorithm: str,
     if check_bounds:
         if algorithm == "demo":
             cap = demo_archive_capacity(n, g.w_max)
-        elif algorithm == "dpbea":
+        elif dpbea:
             cap = 2 * (n + 1)
         elif opt is not None:
             cap = 2 * opt + 1
 
-    table = ev.dense() if algorithm in ("gsemo", "demo") else None
+    table = ev._table
     batch, wait, stale = 32, 0, True
     if table is not None:
         table_cost, table_lp2 = table
         unit = 1 << np.arange(n, dtype=np.int64)
+        width = n + 1 + use_alt  # parent pick, branch coin, n flip draws
+        p = 1.0 / n
 
     best_cost: int | None = None
     best_code: int | None = None
@@ -757,7 +768,7 @@ def run(algorithm: str,
                 if ratio is not None and hitt is None and best_cost * tgt_den <= tgt_num:
                     hitt = it
                 done = target_met()
-        if cap is not None and (size > cap or algorithm == "dpbea" and archive.max_group_size > 2):
+        if cap is not None and (size > cap or dpbea and archive.max_group_size > 2):
             violations += 1
         if record_series:
             series.append((it, size, best_cost))
@@ -766,28 +777,38 @@ def run(algorithm: str,
         if done or it == budget:
             break
         if table is not None and not wait:
-            if stale:  # members' bit codes, costs, lp2s after _NEVER
-                codes = b"".join([m.code.to_bytes(n, "little") for m in archive.members])
-                codes = np.frombuffer(codes, np.uint8).reshape(size, n) @ unit
-                costs = table_cost[codes]
-                limits = np.concatenate(([_NEVER], table_lp2[codes]))
+            if stale or size != len(bits):  # an accept or a dpbea collapse
+                members = archive.members
+                bits = b"".join([m.code.to_bytes(n, "little") for m in members])
+                bits = np.frombuffer(bits, np.bool_).reshape(size, n)
+                codes = bits @ unit
+                test = archive.batch_test(n)
+                if use_alt:  # focused flip probabilities, then 1/n
+                    pvecs = np.array([m.focused_pvec() for m in members] + [np.full(n, 1.0 / n)])
                 stale = False
             while True:
-                rows = rng.rows(n + 1, batch if budget is None else min(batch, budget - it))
+                rows = rng.rows(width, batch if budget is None else min(batch, budget - it))
                 if not len(rows):
                     break
-                flipped = (rows[:, 1:] < 1.0 / n) @ unit
-                child = codes[(rows[:, 0] * size).astype(np.intp)] ^ flipped
-                # commit up to a child unknown (-1) or under the threshold: at
-                # it, a zero string or cover meets one of cost 0 or no dearer
-                ok = table_lp2[child] >= limits[costs.searchsorted(table_cost[child], side="right")]
+                pick = (rows[:, 0] * size).astype(np.intp)
+                if use_alt:
+                    p = pvecs[np.where(rows[:, 1] < 0.5, pick, size)]
+                flips = rows[:, -n:] < p
+                child = codes[pick] ^ (flips @ unit)
+                cost, lp2 = table_cost[child], table_lp2[child]
+                # commit up to a child unknown (-1) or that may change the run
+                if not dpbea:
+                    ok = test(cost, lp2, None)
+                else:  # a reject may be a cheaper cover
+                    ok = test(cost, lp2, (bits[pick] ^ flips).sum(1))
+                    ok &= (lp2 != 0) | (cost >= (_NEVER if best_cost is None else best_cost))
                 c = int(ok.argmin())
                 if ok[c]:
                     c = len(ok)
-                rng.skip(c * (n + 1))
+                rng.skip(c * width)
                 if record_series:
                     series += [(i, size, best_cost) for i in range(it + 1, it + c + 1)]
-                if cap is not None and size > cap:
+                if cap is not None and (size > cap or dpbea and archive.max_group_size > 2):
                     violations += c
                 if callback is not None:
                     for i in range(c):

@@ -5,8 +5,6 @@ flow along its depth-first search. Ties between optimal covers break to the
 lexicographically smallest witness bitstring.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .graph import WeightedGraph

@@ -6,8 +6,6 @@ that seed. Trials may execute in parallel; rows are sorted by seed before
 writing, so the emitted files do not depend on the degree of parallelism.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json
@@ -307,7 +305,7 @@ def _opt_int(cell: str) -> int | None:
     return None if cell == "" else int(cell)
 
 
-def records_to_csv(records: Iterable[TrialRecord]) -> str:
+def records_to_csv(records: "Iterable[TrialRecord]") -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -345,7 +343,7 @@ def records_from_csv(text: str) -> list[TrialRecord]:
     return out
 
 
-def write_records_csv(records: Iterable[TrialRecord], path: str) -> None:
+def write_records_csv(records: "Iterable[TrialRecord]", path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(records_to_csv(records))
 

@@ -5,8 +5,6 @@ are stored normalized (u < v) and sorted so that serialization and residual
 edge ordering are canonical. Instances are immutable after construction.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 

@@ -20,8 +20,6 @@ bound, searches only near the edit, and stops when the flow meets the
 bound; it falls back to the global search rounds otherwise.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 from typing import Iterable, NamedTuple, Sequence

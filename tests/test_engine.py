@@ -500,6 +500,18 @@ class ScriptedRng:
         del self.values[:count]
 
 
+class RecordedRng(ScriptedRng):
+    """Also records the count of each ``skip``."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.skipped = []
+
+    def skip(self, count):
+        self.skipped.append(count)
+        super().skip(count)
+
+
 def test_gsemo_loop_structure(monkeypatch):
     # one iteration = parent draw, then n flip draws; initialization draws n
     g = ec.build_graph(2, [1, 1], [(0, 1)])
@@ -535,14 +547,9 @@ def test_gsemo_batch_commits_scripted_rows(monkeypatch):
               0.1, 0.7, 0.8,   # it 1: parent 0, no flips: committed
               0.2, 0.6, 0.9,   # it 2: likewise
               0.3, 0.0, 0.9]   # it 3: flip bit 0 -> (1,0), a cover, scalar
-    skipped = []
-
-    class RecordedRng(ScriptedRng):
-        def skip(self, count):
-            skipped.append(count)
-            super().skip(count)
-
-    monkeypatch.setattr(ec.engine, "RngStream", lambda seed: RecordedRng(script))
+    rng = RecordedRng(script)
+    skipped = rng.skipped
+    monkeypatch.setattr(ec.engine, "RngStream", lambda seed: rng)
     seen = []
     tr = ec.run("gsemo", g, 0, ec.Termination(budget=3), record_series=True,
                 callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
@@ -553,36 +560,90 @@ def test_gsemo_batch_commits_scripted_rows(monkeypatch):
     assert not script, "loop drew fewer values than scripted"
 
 
+def test_gsemo_alt_batch_commits_plain_and_focused_rows(monkeypatch):
+    # path 0-1-2 weighted 10, 1, 10: selecting an end leaves lp2 at 2, so the
+    # known 001 and 100 are weakly dominated by 000. Rows are 2 + n wide; a
+    # coin of exactly 1/2 takes the plain branch, whose 1/3 leaves bit 0 at
+    # 0.4, where the focused branch's 1/2 flips it
+    g = ec.build_graph(3, [10, 1, 10], [(0, 1), (1, 2)])
+    ev = ec.Evaluator(g)
+    for bits in ([0, 0, 1], [1, 0, 0]):
+        ev.evaluate(np.array(bits, np.uint8))
+    script = [0.9, 0.9, 0.9,              # init 000: fitness (0, 2)
+              0.1, 0.5, 0.4, 0.9, 0.2,    # it 1: plain, flip bit 2 -> 001: committed
+              0.2, 0.2, 0.4, 0.9, 0.9,    # it 2: focused, flip bit 0 -> 100: committed
+              0.3, 0.9, 0.9, 0.1, 0.9]    # it 3: plain, flip bit 1 -> 010, a cover, scalar
+    rng = RecordedRng(script)
+    monkeypatch.setattr(ec.engine, "RngStream", lambda seed: rng)
+    seen = []
+    tr = ec.run("gsemo-alt", g, 0, ec.Termination(budget=3), evaluator=ev, record_series=True,
+                callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
+    assert rng.skipped == [10]
+    assert seen == [(1, 1 << 16, False), (2, 1, False), (3, 1 << 8, True)]
+    assert tr.series == [(0, 1, None), (1, 1, None), (2, 1, None), (3, 2, 1)]
+    assert not script, "loop drew fewer values than scripted"
+
+
+def test_dpbea_batch_hands_a_tied_group_to_the_scalar_path(monkeypatch):
+    # path 0-1-2 weighted 1, 3, 1. The cover b = 010 (3, 0) enters first,
+    # then a = 100 (1, 2), which ties it on cost+lp2 and beats it on
+    # 2*cost+lp2: the group of ones count 1 is [a, b]. 001 (1, 2) ties a on both,
+    # so inserting it collapses the group to [a]; a batch leaves that row to
+    # the scalar path, after committing one into the group of 000 (0, 4)
+    g = ec.build_graph(3, [1, 3, 1], [(0, 1), (1, 2)])
+    ev = ec.Evaluator(g)
+    ev.evaluate(np.array([0, 0, 1], np.uint8))
+    idle = [0.0, 0.9, 0.9, 0.9, 0.9]      # parent 000, plain, no flips
+    script = [0.9, 0.9, 0.9,              # init 000
+              0.0, 0.9, 0.9, 0.1, 0.9,    # it 1: 000 -> b, accepted; a batch that
+                                          # commits nothing leaves it and 16 more scalar
+              0.9, 0.9, 0.1, 0.1, 0.9,    # it 2: b -> a, accepted into [a, b]
+              *idle * 15,                 # it 3-17
+              0.5, 0.9, 0.1, 0.9, 0.9,    # it 18: a -> 000, a one-member group: committed
+              0.5, 0.9, 0.1, 0.9, 0.1]    # it 19: a -> 001, into [a, b]: scalar
+    rng = RecordedRng(script)
+    monkeypatch.setattr(ec.engine, "RngStream", lambda seed: rng)
+    seen = []
+    tr = ec.run("dpbea", g, 0, ec.Termination(budget=19), evaluator=ev, record_series=True,
+                callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
+    a, b, d = 1, 1 << 8, 1 << 16
+    assert rng.skipped == [0, 5]
+    assert seen == [(1, b, True), (2, a, True), *[(i, 0, False) for i in range(3, 19)],
+                    (19, d, False)]
+    assert tr.series == [(0, 1, None), (1, 2, 3), *[(i, 3, 3) for i in range(2, 19)],
+                         (19, 2, 3)]
+    assert tr.max_archive == 3 and tr.best_cost == 3
+    assert not script, "loop drew fewer values than scripted"
+
+
 @pytest.mark.parametrize("n", [1, 12, 16])
 def test_dense_table_mirrors_the_memo(n):
     # after runs of all four loops on one Evaluator, each genotype in the
     # memo has its cost and lp2 (its bound, if bounded) at its bit code in
-    # the table, and every other entry is -1. The first gsemo run makes the
-    # table from what gsemo-alt and dpbea left in the memo; evaluate keeps
-    # it from then on, through bounded entries solved again too.
+    # the table, and every other entry is -1. The Evaluator makes the table;
+    # evaluate keeps it, through bounded entries solved again too.
     g = ec.gnp(n, 0.4, w_max=16, seed=2)
     ev = ec.Evaluator(g)
     for algorithm, seed in (("gsemo-alt", 1), ("dpbea", 1), ("gsemo", 2), ("demo", 3),
                             ("dpbea", 4), ("gsemo-alt", 5)):
         if algorithm == "gsemo":
-            assert ev._table is None
             bounded = set(ev._bounded)
         ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev)
     expect = np.full((2, 1 << n), -1)
     for code, ind in [*ev._cache.items(), *ev._bounded.items()]:
         bit = sum(1 << v for v, b in enumerate(code.to_bytes(n, "little")) if b)
         expect[:, bit] = ind.cost, ind.lp2
-    assert np.array_equal(ev.dense(), expect)
+    assert np.array_equal(ev._table, expect)
     assert n == 1 or bounded & set(ev._cache)  # some bounded entries were solved again
 
 
 def test_dense_table_only_where_int64_is_exact():
     # lp2 <= 2 sum(w), which must stay below 2^62; and n <= 16
     pair = [(0, 1)]
-    assert ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60 - 1], pair)).dense() is not None
-    assert ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60], pair)).dense() is None
-    assert ec.Evaluator(ec.gnp(16, 0.3, seed=1)).dense().shape == (2, 1 << 16)
-    assert ec.Evaluator(ec.gnp(17, 0.3, seed=1)).dense() is None
+    assert ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60 - 1], pair))._table is not None
+    assert ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60], pair))._table is None
+    assert ec.Evaluator(ec.gnp(16, 0.3, seed=1))._table.shape == (2, 1 << 16)
+    assert ec.Evaluator(ec.gnp(17, 0.3, seed=1))._table is None
 
 
 def test_termination_validation():

@@ -73,16 +73,24 @@ def test_engine_matches_the_reference_loop(g, seed):
 @pytest.mark.parametrize("w_max", [1, 16, 2 ** 20])
 def test_engine_matches_the_reference_loop_on_a_saturated_memo(w_max):
     # at n = 8 the memo holds every genotype after a few hundred iterations,
-    # so nearly every iteration of gsemo and demo is batched
+    # so nearly every iteration of every loop is batched
     g = ec.gnp(8, 0.4, w_max=w_max, seed=3)
     assert_runs_match(g, (1, 2, 3), terminations(g, 2000))
 
 
 def test_engine_matches_the_reference_loop_without_a_table():
-    # beyond n = 16, and where 2 * sum(w) reaches 2^62, gsemo and demo run
-    # on the scalar path alone
+    # beyond n = 16, and where 2 * sum(w) reaches 2^62, the loops run on
+    # the scalar path alone
     for g in (ec.gnp(17, 0.3, w_max=16, seed=1),
               ec.build_graph(6, [2 ** 61, 1, 3, 2 ** 60, 5, 7],
                              [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])):
-        assert ec.Evaluator(g).dense() is None
-        assert_runs_match(g, (1, 2, 3), [ec.Termination(budget=400)], ("gsemo", "demo"))
+        assert ec.Evaluator(g)._table is None
+        assert_runs_match(g, (1, 2, 3), [ec.Termination(budget=400)])
+
+
+def test_engine_matches_the_reference_loop_on_dpbea_with_a_shared_memo():
+    # the memo of earlier runs holds covers cheaper than this run's best,
+    # which dpbea's groups may reject: a batch must not commit them, or the
+    # best cost in the series falls late
+    assert_runs_match(ec.gnp(12, 0.4, w_max=16, seed=1), range(9),
+                      (ec.Termination(budget=4000),), algorithms=("dpbea",))
