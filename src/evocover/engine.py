@@ -29,8 +29,18 @@ from .graph import WeightedGraph, as_genotype
 from .lp import DoubleCover, lp_value2, solve_cover_lp  # noqa: F401
 
 ALGORITHMS = ("gsemo", "gsemo-alt", "demo", "dpbea")
-_BINARY, _HEX = bytes.maketrans(b"\0\1", b"01"), {48: "00", 49: "01"}  # bit codes
+_BINARY, _HEX = bytes.maketrans(b"\0\1", b"01"), {48: "00", 49: "01"}
 _NEVER = 1 << 62  # > lp2
+
+
+def _bit_code(code: int, n: int) -> int:
+    """The bit code sum(b_v 2^v) of the genotype whose byte code is ``code``."""
+    return int(code.to_bytes(n, "big").translate(_BINARY), 2)
+
+
+def _byte_code(bit: int) -> int:
+    """The byte code sum(b_v 256^v) of the genotype whose bit code is ``bit``."""
+    return int(format(bit, "b").translate(_HEX), 16)
 
 
 class Fitness(NamedTuple):
@@ -216,9 +226,10 @@ class Evaluator:
     The LP solve dominates iteration cost, so evaluations are cached per
     genotype, keyed by its code (see ``Individual``). The cache is pure and
     may be shared across sequential runs on the same graph; concurrent runs
-    must use separate Evaluator instances. ``_table`` mirrors it by bit code
-    for ``run`` if n <= 16 and 2 sum(w) < 2^62; its byte-code keys unpack
-    faster on a miss.
+    must use separate Evaluator instances. If n <= 16 and 2 sum(w) < 2^62,
+    ``_table`` mirrors it for ``run``: rows cost, lp2 and ones count, each
+    genotype at its bit code (``_bit_code``), -1 where it is unknown. The
+    cache keeps byte-code keys, which unpack faster on a miss.
 
     A child is evaluated from its parent and the positions it flipped: its
     code is the parent's XORed with 256**v per flip, and on a miss it gets
@@ -260,7 +271,7 @@ class Evaluator:
         self._unit = [1 << 8 * v for v in range(g.n)]  # XOR flips entry v of a code
         # the parent of whole genotypes: never cached or solved, so no lp2
         self._zero = Individual(0, 0, None, 0, g.m, g)
-        self._table = (np.full((2, 1 << g.n), -1, np.int64)
+        self._table = (np.full((3, 1 << g.n), -1, np.int64)
                        if g.n <= 16 and 2 * sum(g.weights) < 1 << 62 else None)
 
     def __len__(self) -> int:
@@ -344,8 +355,7 @@ class Evaluator:
         return ind
 
     def _put(self, ind: Individual) -> None:
-        bit = int(ind.code.to_bytes(self.graph.n, "big").translate(_BINARY), 2)
-        self._table[:, bit] = ind.cost, ind.lp2
+        self._table[:, _bit_code(ind.code, self.graph.n)] = ind.cost, ind.lp2, ind.ones
 
     def _solve(self, code: int, sel: list[int], parent: Individual, flips: list[int],
                limit: int | None) -> int:
@@ -716,12 +726,13 @@ def run(algorithm: str,
             cap = 2 * opt + 1
 
     table = ev._table
-    batch, wait, stale = 32, 0, True
+    batch, wait, backoff, stale = 32, 0, 16, True
     if table is not None:
-        table_cost, table_lp2 = table
+        table_cost, table_lp2, table_ones = table
         unit = 1 << np.arange(n, dtype=np.int64)
         width = n + 1 + use_alt  # parent pick, branch coin, n flip draws
         p = 1.0 / n
+        bit_codes = {}  # byte code -> bit code, for the members
 
     best_cost: int | None = None
     best_code: int | None = None
@@ -777,15 +788,17 @@ def run(algorithm: str,
         if done or it == budget:
             break
         if table is not None and not wait:
-            if stale or size != len(bits):  # an accept or a dpbea collapse
+            if stale or size != len(codes):  # an accept or a dpbea collapse
                 members = archive.members
-                bits = b"".join([m.code.to_bytes(n, "little") for m in members])
-                bits = np.frombuffer(bits, np.bool_).reshape(size, n)
-                codes = bits @ unit
+                for m in members:
+                    if m.code not in bit_codes:
+                        bit_codes[m.code] = _bit_code(m.code, n)
+                codes = np.array([bit_codes[m.code] for m in members])
                 test = archive.batch_test(n)
                 if use_alt:  # focused flip probabilities, then 1/n
                     pvecs = np.array([m.focused_pvec() for m in members] + [np.full(n, 1.0 / n)])
                 stale = False
+            start = it
             while True:
                 rows = rng.rows(width, batch if budget is None else min(batch, budget - it))
                 if not len(rows):
@@ -800,7 +813,7 @@ def run(algorithm: str,
                 if not dpbea:
                     ok = test(cost, lp2, None)
                 else:  # a reject may be a cheaper cover
-                    ok = test(cost, lp2, (bits[pick] ^ flips).sum(1))
+                    ok = test(cost, lp2, table_ones[child])
                     ok &= (lp2 != 0) | (cost >= (_NEVER if best_cost is None else best_cost))
                 c = int(ok.argmin())
                 if ok[c]:
@@ -812,12 +825,16 @@ def run(algorithm: str,
                     violations += c
                 if callback is not None:
                     for i in range(c):
-                        code = int(format(int(child[i]), "b").translate(_HEX), 16)
+                        code = _byte_code(int(child[i]))
                         callback(it + 1 + i, ev._cache.get(code) or ev._bounded[code],
                                  False, archive)
                 it += c
-                if c < len(ok):
-                    batch, wait = 32, 16 if c < 8 else 0
+                if c < len(ok):  # an event, for the scalar path
+                    batch = 32
+                    if it - start < 8:  # dense events: wait 16, 32, ... scalar iterations
+                        wait, backoff = backoff, min(2 * backoff, 256)
+                    else:
+                        backoff = 16
                     break
                 batch *= 2
             if it == budget:

@@ -619,9 +619,10 @@ def test_dpbea_batch_hands_a_tied_group_to_the_scalar_path(monkeypatch):
 @pytest.mark.parametrize("n", [1, 12, 16])
 def test_dense_table_mirrors_the_memo(n):
     # after runs of all four loops on one Evaluator, each genotype in the
-    # memo has its cost and lp2 (its bound, if bounded) at its bit code in
-    # the table, and every other entry is -1. The Evaluator makes the table;
-    # evaluate keeps it, through bounded entries solved again too.
+    # memo has its cost, lp2 (its bound, if bounded) and ones count at its
+    # bit code in the table, and every other entry is -1. The Evaluator
+    # makes the table; evaluate keeps it, through bounded entries solved
+    # again too.
     g = ec.gnp(n, 0.4, w_max=16, seed=2)
     ev = ec.Evaluator(g)
     for algorithm, seed in (("gsemo-alt", 1), ("dpbea", 1), ("gsemo", 2), ("demo", 3),
@@ -629,10 +630,11 @@ def test_dense_table_mirrors_the_memo(n):
         if algorithm == "gsemo":
             bounded = set(ev._bounded)
         ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev)
-    expect = np.full((2, 1 << n), -1)
+    expect = np.full((3, 1 << n), -1)
     for code, ind in [*ev._cache.items(), *ev._bounded.items()]:
-        bit = sum(1 << v for v, b in enumerate(code.to_bytes(n, "little")) if b)
-        expect[:, bit] = ind.cost, ind.lp2
+        bits = code.to_bytes(n, "little")
+        bit = sum(1 << v for v, b in enumerate(bits) if b)
+        expect[:, bit] = ind.cost, ind.lp2, sum(bits)
     assert np.array_equal(ev._table, expect)
     assert n == 1 or bounded & set(ev._cache)  # some bounded entries were solved again
 
@@ -640,10 +642,53 @@ def test_dense_table_mirrors_the_memo(n):
 def test_dense_table_only_where_int64_is_exact():
     # lp2 <= 2 sum(w), which must stay below 2^62; and n <= 16
     pair = [(0, 1)]
-    assert ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60 - 1], pair))._table is not None
+    ev = ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60 - 1], pair))
+    for bits in ([0, 0], [1, 0], [1, 1]):
+        ev.evaluate(np.array(bits, np.uint8))
+    # rows cost, lp2, ones; columns 00, 10, 01 (unknown), 11
+    assert ev._table.tolist() == [[0, 2 ** 60, -1, 2 ** 61 - 1],
+                                  [2 ** 61 - 2, 0, -1, 0],
+                                  [0, 1, -1, 2]]
     assert ec.Evaluator(ec.build_graph(2, [2 ** 60, 2 ** 60], pair))._table is None
-    assert ec.Evaluator(ec.gnp(16, 0.3, seed=1))._table.shape == (2, 1 << 16)
+    assert ec.Evaluator(ec.gnp(16, 0.3, seed=1))._table.shape == (3, 1 << 16)
     assert ec.Evaluator(ec.gnp(17, 0.3, seed=1))._table is None
+
+
+@pytest.mark.parametrize("n", [1, 12, 16])
+def test_bit_and_byte_codes_round_trip(n):
+    # the memo keys genotypes by byte code, sum(b_v 256^v), the table by
+    # bit code, sum(b_v 2^v); both ends, 0 and all-ones, included
+    rows = [np.zeros(n, np.uint8), np.ones(n, np.uint8),
+            *np.random.default_rng(n).integers(0, 2, (50, n), dtype=np.uint8)]
+    for bits in rows:
+        code = int.from_bytes(bits.tobytes(), "little")
+        bit = sum(1 << v for v in range(n) if bits[v])
+        assert ec.engine._bit_code(code, n) == bit
+        assert ec.engine._byte_code(bit) == code
+    assert all(ec.engine._bit_code(ec.engine._byte_code(bit), n) == bit for bit in range(1 << n))
+
+
+def test_batch_tests_fail_unknown_entries():
+    # a child the memo does not know reads -1 as cost, lp2 and ones count,
+    # and no archive may let it pass: not even dpbea's group at ones count
+    # n, which ones = -1 indexes
+    g = ec.gnp(5, 0.5, w_max=16, seed=1)
+    n = g.n
+    ev = ec.Evaluator(g)
+    inds = [ev.evaluate(np.array(bits, np.uint8)) for bits in itertools.product((0, 1), repeat=n)]
+    order = np.random.default_rng(1).permutation(len(inds))
+    unknown = np.full(1, -1)
+    for archive in (ec.SemoArchive(), ec.DemoArchive(n), ec.DpbeaArchive()):
+        dpbea = isinstance(archive, ec.DpbeaArchive)
+        for i in order:
+            archive.insert(inds[i])
+            test = archive.batch_test(n)
+            assert not test(unknown, unknown, unknown if dpbea else None).any()
+        top = archive.members[-1]  # proposed again, it passes
+        cost, lp2 = np.array([top.cost]), np.array([top.lp2])
+        assert test(cost, lp2, np.array([top.ones]) if dpbea else None).all()
+        if dpbea:  # the group at ones count n, which index -1 reads
+            assert top.ones == n and test(cost, lp2, unknown).all()
 
 
 def test_termination_validation():

@@ -94,3 +94,21 @@ def test_engine_matches_the_reference_loop_on_dpbea_with_a_shared_memo():
     # best cost in the series falls late
     assert_runs_match(ec.gnp(12, 0.4, w_max=16, seed=1), range(9),
                       (ec.Termination(budget=4000),), algorithms=("dpbea",))
+
+
+def test_engine_matches_the_reference_loop_through_long_back_offs():
+    # on a fresh memo most children are unknown for the first thousands of
+    # iterations, so batches stay short and the scalar waits between them
+    # double to their cap of 256; in each loop, for one seed at least, a
+    # batch that commits 8 or more later resets them to 16
+    g = ec.gnp(12, 0.4, w_max=2 ** 20, seed=1)
+    for seed in (1, 2):
+        assert_runs_match(g, (seed,), (ec.Termination(budget=3000),))
+
+
+def test_engine_matches_the_reference_loop_on_dpbea_collapses():
+    # dense graphs with small weights tie many dpbea groups. A tied group
+    # that collapses on the scalar path shifts the members after it, and a
+    # batch that comes before the next accept must rebuild its arrays
+    for g in (ec.gnp(6, 0.9, w_max=2, seed=1), ec.gnp(7, 0.9, w_max=16, seed=2)):
+        assert_runs_match(g, range(3), (ec.Termination(budget=4000),), algorithms=("dpbea",))
