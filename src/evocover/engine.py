@@ -29,18 +29,15 @@ from .graph import WeightedGraph, as_genotype
 from .lp import DoubleCover, lp_value2, solve_cover_lp  # noqa: F401
 
 ALGORITHMS = ("gsemo", "gsemo-alt", "demo", "dpbea")
-_BINARY, _HEX = bytes.maketrans(b"\0\1", b"01"), {48: "00", 49: "01"}
+_BYTES = bytes.maketrans(b"01", b"\0\1")
 _NEVER = 1 << 62  # > lp2
 
 
-def _bit_code(code: int, n: int) -> int:
-    """The bit code sum(b_v 2^v) of the genotype whose byte code is ``code``."""
-    return int(code.to_bytes(n, "big").translate(_BINARY), 2)
-
-
-def _byte_code(bit: int) -> int:
-    """The byte code sum(b_v 256^v) of the genotype whose bit code is ``bit``."""
-    return int(format(bit, "b").translate(_HEX), 16)
+def _selection(code: int, n: int) -> bytes:
+    """The 0/1 bytes b_0 ... b_{n-1} of the genotype with code sum(b_v 2^v)."""
+    # "0b1" and b_{n-1} ... b_0, the 1 at bit n keeping the leading zeros;
+    # [:2:-1] reverses the bits and drops "0b1"
+    return bin(code | 1 << n)[:2:-1].encode().translate(_BYTES)
 
 
 class Fitness(NamedTuple):
@@ -186,7 +183,7 @@ class RngStream:
 
 class Individual:
     """A genotype with its cached objective values and derived data; the
-    genotype is kept only as its ``code``, ``int.from_bytes(bits, "little")``."""
+    genotype is kept only as its ``code``, sum(b_v 2^v) over its bits b_v."""
 
     __slots__ = ("code", "cost", "lp2", "ones", "uncovered", "graph", "box", "_alt_pvec")
 
@@ -204,7 +201,7 @@ class Individual:
     @property
     def bits(self) -> np.ndarray:
         """The genotype as a read-only uint8 array."""
-        return np.frombuffer(self.code.to_bytes(self.graph.n, "little"), np.uint8)
+        return np.frombuffer(_selection(self.code, self.graph.n), np.uint8)
 
     @property
     def fitness(self) -> Fitness:
@@ -228,11 +225,10 @@ class Evaluator:
     may be shared across sequential runs on the same graph; concurrent runs
     must use separate Evaluator instances. If n <= 16 and 2 sum(w) < 2^62,
     ``_table`` mirrors it for ``run``: rows cost, lp2 and ones count, each
-    genotype at its bit code (``_bit_code``), -1 where it is unknown. The
-    cache keeps byte-code keys, which unpack faster on a miss.
+    genotype in the column of its code, -1 where it is unknown.
 
     A child is evaluated from its parent and the positions it flipped: its
-    code is the parent's XORed with 256**v per flip, and on a miss it gets
+    code is the parent's XORed with 2**v per flip, and on a miss it gets
     its cost, ones count and number of uncovered edges from the parent's,
     by a walk over the flipped vertices' neighbours. A whole genotype is its
     flips from 0^n. No uncovered edge means a cover, and no LP.
@@ -268,7 +264,6 @@ class Evaluator:
         self._cover: DoubleCover | None = None
         self._solved = 0  # code of the network's current flow
         self._states: dict[int, tuple] = {}  # code -> DoubleCover state
-        self._unit = [1 << 8 * v for v in range(g.n)]  # XOR flips entry v of a code
         # the parent of whole genotypes: never cached or solved, so no lp2
         self._zero = Individual(0, 0, None, 0, g.m, g)
         self._table = (np.full((3, 1 << g.n), -1, np.int64)
@@ -294,9 +289,8 @@ class Evaluator:
         if flips is None:
             parent, flips = self._zero, np.flatnonzero(as_genotype(bits, n)).tolist()
         code = parent.code
-        unit = self._unit
         for v in flips:
-            code ^= unit[v]
+            code ^= 1 << v
         ind = self._cache.get(code)
         if ind is not None:
             return ind
@@ -306,7 +300,7 @@ class Evaluator:
             if limit is not None and ind.lp2 >= limit:
                 return ind
             del self._bounded[code]
-            ind.lp2 = self._solve(code, list(code.to_bytes(n, "little")), parent, flips, None)
+            ind.lp2 = self._solve(code, list(_selection(code, n)), parent, flips, None)
             ind.box = None
             self._cache[code] = ind
             if self._table is not None:
@@ -317,7 +311,7 @@ class Evaluator:
             cover = self._cover = DoubleCover(self.graph)
         nbrs, w = cover._out, cover._w
         cost, ones, uncovered = parent.cost, parent.ones, parent.uncovered
-        sel = list(parent.code.to_bytes(n, "little"))
+        sel = list(_selection(parent.code, n))
         # one flip at a time, each against the selection left by the
         # ones before it, so an edge flipped at both ends counts once
         for v in flips:
@@ -355,7 +349,7 @@ class Evaluator:
         return ind
 
     def _put(self, ind: Individual) -> None:
-        self._table[:, _bit_code(ind.code, self.graph.n)] = ind.cost, ind.lp2, ind.ones
+        self._table[:, ind.code] = ind.cost, ind.lp2, ind.ones
 
     def _solve(self, code: int, sel: list[int], parent: Individual, flips: list[int],
                limit: int | None) -> int:
@@ -364,10 +358,10 @@ class Evaluator:
         known = parent.code == solved
         state = None if known else self._states.get(parent.code)
         if state is None and not known and not parent.uncovered:  # a cover's flow is known
-            state = cover.cover_state(parent.code.to_bytes(len(sel), "little"))
+            state = cover.cover_state(_selection(parent.code, len(sel)))
         if state is None and not known:
             # the flow is another genotype's: diff the codes
-            diff = (solved ^ code).to_bytes(len(sel), "little")
+            diff = _selection(solved ^ code, len(sel))
             flips = [v for v, d in enumerate(diff) if d]
         elif limit is not None:
             value = cover.bound(state, sel, flips, limit)
@@ -732,7 +726,6 @@ def run(algorithm: str,
         unit = 1 << np.arange(n, dtype=np.int64)
         width = n + 1 + use_alt  # parent pick, branch coin, n flip draws
         p = 1.0 / n
-        bit_codes = {}  # byte code -> bit code, for the members
 
     best_cost: int | None = None
     best_code: int | None = None
@@ -790,10 +783,7 @@ def run(algorithm: str,
         if table is not None and not wait:
             if stale or size != len(codes):  # an accept or a dpbea collapse
                 members = archive.members
-                for m in members:
-                    if m.code not in bit_codes:
-                        bit_codes[m.code] = _bit_code(m.code, n)
-                codes = np.array([bit_codes[m.code] for m in members])
+                codes = np.array([m.code for m in members])
                 test = archive.batch_test(n)
                 if use_alt:  # focused flip probabilities, then 1/n
                     pvecs = np.array([m.focused_pvec() for m in members] + [np.full(n, 1.0 / n)])
@@ -825,7 +815,7 @@ def run(algorithm: str,
                     violations += c
                 if callback is not None:
                     for i in range(c):
-                        code = _byte_code(int(child[i]))
+                        code = int(child[i])
                         callback(it + 1 + i, ev._cache.get(code) or ev._bounded[code],
                                  False, archive)
                 it += c
@@ -854,7 +844,7 @@ def run(algorithm: str,
         iterations=it,
         max_archive=max_arch,
         best_cost=best_cost,
-        best_cover=None if best_code is None else tuple(best_code.to_bytes(n, "little")),
+        best_cover=None if best_code is None else tuple(_selection(best_code, n)),
         iters_to_zero_string=hit0,
         iters_to_cover=hitc,
         iters_to_target=hitt,

@@ -44,6 +44,16 @@ def random_genotype(n, rng):
     return (rng.random(n) < 0.5).astype(np.uint8)
 
 
+def code_of(bits):
+    """The code of a genotype: sum(b_v 2^v) over its bits b_v."""
+    return sum(int(b) << v for v, b in enumerate(bits))
+
+
+def bits_of(code, n):
+    """The 0/1 bits b_0 ... b_{n-1} of the genotype with code ``code``."""
+    return np.array([code >> v & 1 for v in range(n)], dtype=np.uint8)
+
+
 def np_rng(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import evocover as ec
-from conftest import dpbea_reference_insert, front_reference_insert
+from conftest import bits_of, code_of, dpbea_reference_insert, front_reference_insert
 
 
 def reference_run(algorithm, g, seed, termination, *, check_bounds=False,
@@ -33,7 +33,7 @@ def reference_run(algorithm, g, seed, termination, *, check_bounds=False,
     def evaluate(bits):
         key = bytes(bits)
         if key not in known:
-            known[key] = ec.Individual(int.from_bytes(key, "little"),
+            known[key] = ec.Individual(code_of(key),
                                        sum(w for w, b in zip(g.weights, key) if b),
                                        ec.lp_value2(g, list(key)), sum(key), None, g)
         return known[key]
@@ -52,7 +52,7 @@ def reference_run(algorithm, g, seed, termination, *, check_bounds=False,
         return front_reference_insert(archive.members, cand, g.n if algorithm == "demo" else None)
 
     def focused(parent):  # 1/n, and 1/2 at both ends of each uncovered edge
-        pvec, sel = [1.0 / n] * n, parent.bits
+        pvec, sel = [1.0 / n] * n, bits_of(parent.code, n)
         for u, v in g.edges:
             if not (sel[u] or sel[v]):
                 pvec[u] = pvec[v] = 0.5
@@ -103,11 +103,11 @@ def reference_run(algorithm, g, seed, termination, *, check_bounds=False,
         else:
             flips = np.zeros(n, dtype=bool)
             flips[rng.below(n, 1.0 / n)] = True
-        bits = parent.bits ^ flips
+        bits = bits_of(parent.code, n) ^ flips
 
     return ec.RunTrace(
         algorithm=algorithm, seed=seed, n=n, iterations=it, max_archive=max_arch,
         best_cost=None if best is None else best.cost,
-        best_cover=None if best is None else tuple(best.bits.tolist()),
+        best_cover=None if best is None else tuple(bits_of(best.code, n).tolist()),
         iters_to_zero_string=hit0, iters_to_cover=hitc, iters_to_target=hitt,
         target_kind=termination.target_kind, bound_violations=violations, series=series)

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 import evocover as ec
 from evocover.lp import DoubleCover
-from conftest import (alternative_mutation, dinic_lp2, dominates_strong, dominates_weak,
-                      dpbea_reference_insert, flow_copy, front_reference_insert, make_instances,
-                      np_rng, opt_exhaustive, random_genotype, standard_mutation, tiny_box_coord)
+from reference_loop import reference_run
+from conftest import (alternative_mutation, bits_of, code_of, dinic_lp2, dominates_strong,
+                      dominates_weak, dpbea_reference_insert, flow_copy, front_reference_insert,
+                      make_instances, np_rng, opt_exhaustive, random_genotype, standard_mutation,
+                      tiny_box_coord)
 
 
 def mk(cost, lp2, ones=0):
@@ -114,6 +116,22 @@ def test_rng_stream_range_and_oversize():
     u = rng.uniforms(10000)  # larger than one block
     assert u.size == 10000
     assert (u >= 0).all() and (u < 1).all()
+
+
+def test_rng_stream_first_uniforms_are_pinned():
+    # every trace and golden rests on these draws: a numpy that changed
+    # PCG64, SeedSequence or the float conversion would fail here first
+    assert ec.RngStream(0).uniforms(2).tolist() == [0.6369616873214543, 0.2697867137638703]
+    assert ec.RngStream(1).uniforms(2).tolist() == [0.5118216247002567, 0.9504636963259353]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_generator_random_is_the_top_53_bits_of_pcg64(seed):
+    # NEP 19 keeps PCG64's raw stream stable, not the Generator methods:
+    # random takes the top 53 bits of each raw 64-bit output, times 2^-53
+    raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(10_000)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    assert np.array_equal(gen.random(10_000), (raw >> 11) * 2.0 ** -53)
 
 
 def test_rng_below_matches_uniforms_on_a_twin_stream():
@@ -222,7 +240,7 @@ def test_whole_genotype_of_wrong_length_or_entries_is_rejected(bits):
     with pytest.raises(ValueError):
         ev.evaluate(np.array(bits, dtype=np.uint8))
     assert len(ev) == 0
-    assert ev.evaluate([1, 0, 1, 0, 0]).code == int.from_bytes(bytes([1, 0, 1, 0, 0]), "little")
+    assert ev.evaluate([1, 0, 1, 0, 0]).code == code_of([1, 0, 1, 0, 0])
 
 
 def test_standard_mutation_rejects_entries_other_than_0_and_1():
@@ -579,7 +597,7 @@ def test_gsemo_alt_batch_commits_plain_and_focused_rows(monkeypatch):
     tr = ec.run("gsemo-alt", g, 0, ec.Termination(budget=3), evaluator=ev, record_series=True,
                 callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
     assert rng.skipped == [10]
-    assert seen == [(1, 1 << 16, False), (2, 1, False), (3, 1 << 8, True)]
+    assert seen == [(1, 1 << 2, False), (2, 1, False), (3, 1 << 1, True)]
     assert tr.series == [(0, 1, None), (1, 1, None), (2, 1, None), (3, 2, 1)]
     assert not script, "loop drew fewer values than scripted"
 
@@ -606,7 +624,7 @@ def test_dpbea_batch_hands_a_tied_group_to_the_scalar_path(monkeypatch):
     seen = []
     tr = ec.run("dpbea", g, 0, ec.Termination(budget=19), evaluator=ev, record_series=True,
                 callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
-    a, b, d = 1, 1 << 8, 1 << 16
+    a, b, d = 1, 1 << 1, 1 << 2
     assert rng.skipped == [0, 5]
     assert seen == [(1, b, True), (2, a, True), *[(i, 0, False) for i in range(3, 19)],
                     (19, d, False)]
@@ -619,10 +637,10 @@ def test_dpbea_batch_hands_a_tied_group_to_the_scalar_path(monkeypatch):
 @pytest.mark.parametrize("n", [1, 12, 16])
 def test_dense_table_mirrors_the_memo(n):
     # after runs of all four loops on one Evaluator, each genotype in the
-    # memo has its cost, lp2 (its bound, if bounded) and ones count at its
-    # bit code in the table, and every other entry is -1. The Evaluator
-    # makes the table; evaluate keeps it, through bounded entries solved
-    # again too.
+    # memo has its cost, lp2 (its bound, if bounded) and ones count in the
+    # column of its code in the table, and every other entry is -1. The
+    # Evaluator makes the table; evaluate keeps it, through bounded entries
+    # solved again too.
     g = ec.gnp(n, 0.4, w_max=16, seed=2)
     ev = ec.Evaluator(g)
     for algorithm, seed in (("gsemo-alt", 1), ("dpbea", 1), ("gsemo", 2), ("demo", 3),
@@ -632,9 +650,9 @@ def test_dense_table_mirrors_the_memo(n):
         ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev)
     expect = np.full((3, 1 << n), -1)
     for code, ind in [*ev._cache.items(), *ev._bounded.items()]:
-        bits = code.to_bytes(n, "little")
-        bit = sum(1 << v for v, b in enumerate(bits) if b)
-        expect[:, bit] = ind.cost, ind.lp2, sum(bits)
+        bits = bits_of(code, n)
+        assert ind.cost == ec.cost(g, bits)
+        expect[:, code] = ind.cost, ind.lp2, bits.sum()
     assert np.array_equal(ev._table, expect)
     assert n == 1 or bounded & set(ev._cache)  # some bounded entries were solved again
 
@@ -654,18 +672,16 @@ def test_dense_table_only_where_int64_is_exact():
     assert ec.Evaluator(ec.gnp(17, 0.3, seed=1))._table is None
 
 
-@pytest.mark.parametrize("n", [1, 12, 16])
-def test_bit_and_byte_codes_round_trip(n):
-    # the memo keys genotypes by byte code, sum(b_v 256^v), the table by
-    # bit code, sum(b_v 2^v); both ends, 0 and all-ones, included
+@pytest.mark.parametrize("n", [1, 12, 16, 17, 63, 64, 65, 100])
+def test_selection_unpacks_the_code(n):
+    # a genotype's code is sum(b_v 2^v), also past a machine word; both
+    # ends, 0 and all-ones, included
     rows = [np.zeros(n, np.uint8), np.ones(n, np.uint8),
             *np.random.default_rng(n).integers(0, 2, (50, n), dtype=np.uint8)]
     for bits in rows:
-        code = int.from_bytes(bits.tobytes(), "little")
-        bit = sum(1 << v for v in range(n) if bits[v])
-        assert ec.engine._bit_code(code, n) == bit
-        assert ec.engine._byte_code(bit) == code
-    assert all(ec.engine._bit_code(ec.engine._byte_code(bit), n) == bit for bit in range(1 << n))
+        assert ec.engine._selection(code_of(bits), n) == bits.tobytes()
+    if n <= 16:
+        assert all(code_of(ec.engine._selection(code, n)) == code for code in range(1 << n))
 
 
 def test_batch_tests_fail_unknown_entries():
@@ -946,7 +962,7 @@ def test_delta_evaluation_matches_full_evaluation(walk):
         child = ev.evaluate(None, parent, lambda cost, ones: limit, flips)
         made_by.setdefault(child.code, flips)
         full = ec.Evaluator(g).evaluate(child.bits)
-        assert child.code == full.code == int.from_bytes(bits.tobytes(), "little")
+        assert child.code == full.code == code_of(bits)
         assert child.bits.tobytes() == bits.tobytes()
         # the array is made from the code: it must not be writable
         assert not child.bits.flags.writeable
@@ -982,8 +998,8 @@ _CODE_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(_CODE_GRAPHS))
 def test_genotype_codes_along_seeded_walks(name):
-    # an Individual keeps only its code, int.from_bytes(bits, "little"),
-    # and a child's code is its parent's with 256**v XORed in per flip
+    # an Individual keeps only its code, sum(b_v 2^v), and a child's code
+    # is its parent's with 2**v XORed in per flip
     g = _CODE_GRAPHS[name]
     rng = np_rng(g.n)
     ev = ec.Evaluator(g)
@@ -1000,8 +1016,8 @@ def test_genotype_codes_along_seeded_walks(name):
     seen = set()
     for ind in inds:
         bits = ind.bits
-        assert ind.code == int.from_bytes(bits.tobytes(), "little")
-        assert list(ind.code.to_bytes(g.n, "little")) == bits.tolist()
+        assert ind.code == code_of(bits)
+        assert bits_of(ind.code, g.n).tolist() == bits.tolist()
         # the whole genotype finds the object its delta evaluation made
         assert ev.evaluate(bits.tolist()) is ind
         seen.add(ind.code)
@@ -1034,7 +1050,7 @@ def test_residual_states_stay_within_the_archive():
             assert len(ev._states) <= len(archive.members) + 2, (algorithm, it)
             # every stored flow is exact, so it carries its optimal cover
             for code, state in ev._states.items():
-                key = code.to_bytes(g.n, "little")
+                key = bits_of(code, g.n)
                 scratch.load(state)
                 a = scratch._cover()
                 assert a is not None, (algorithm, it)
@@ -1165,8 +1181,7 @@ def test_bound_answered_evaluations_leave_the_flow_alone(monkeypatch):
                 assert self._solved == solved
                 assert self._states.keys() == states.keys()
                 assert all(self._states[k] is v for k, v in states.items())
-                exact = dinic_lp2(self.graph, np.frombuffer(code.to_bytes(len(sel), "little"),
-                                                            np.uint8))
+                exact = dinic_lp2(self.graph, bits_of(code, len(sel)))
                 assert max(limit, 1) <= lp2 <= exact
             return lp2
 
@@ -1229,11 +1244,11 @@ def test_children_of_a_cover_start_from_its_empty_flow(monkeypatch, n, p, seed):
             flips = [int(rng.integers(n))]
             child = other.bits.copy()
             child[flips] ^= 1
-            code = int.from_bytes(child.tobytes(), "little")
+            code = code_of(child)
             if not (code in ev._cache or code in ev._bounded
                     or all(child[u] or child[v] for u, v in g.edges)):
                 seen["diffed"] += 1
-                solved = ev._solved.to_bytes(n, "little")
+                solved = bits_of(ev._solved, n)
                 diff = [v for v in range(n) if child[v] != solved[v]]
                 assert ev.evaluate(None, other, None, flips).lp2 == dinic_lp2(g, child), case
                 assert edits[-1] == diff, case
@@ -1247,7 +1262,7 @@ def test_children_of_a_cover_start_from_its_empty_flow(monkeypatch, n, p, seed):
         flips = sorted(rng.choice(n, size=1 + case % 5, replace=False).tolist())
         child = bits.copy()
         child[flips] ^= 1
-        if (ev._solved == parent.code or int.from_bytes(child.tobytes(), "little") in ev._cache
+        if (ev._solved == parent.code or code_of(child) in ev._cache
                 or all(child[u] or child[v] for u, v in g.edges)):
             continue
         exact = dinic_lp2(g, child)
@@ -1341,17 +1356,31 @@ GOLDEN_GNP30 = {
 }
 
 
-def test_run_traces_match_cold_solver_goldens():
+def golden_digests(run):
+    """Each loop's trace of ``run`` on the golden's instance and termination,
+    digested as ``GOLDEN_GNP30`` holds it."""
     g = ec.gnp(30, 0.2, w_max=16, seed=4)
     term = ec.Termination(budget=4000, target_ratio=Fraction(5, 4), opt=155,
                           until_zero_string=True)
     for algorithm in ec.ALGORITHMS:
-        tr = ec.run(algorithm, g, 11, term, check_bounds=True, record_series=True)
+        tr = run(algorithm, g, 11, term, check_bounds=True, record_series=True)
         got = tr._asdict()
         series = got.pop("series")
         if got["best_cover"] is not None:
             got["best_cover"] = "".join(map(str, got["best_cover"]))
         got["series_sha"] = hashlib.sha256(json.dumps(series).encode()).hexdigest()[:16]
+        yield algorithm, got
+
+
+def test_run_traces_match_cold_solver_goldens():
+    for algorithm, got in golden_digests(ec.run):
+        assert got == GOLDEN_GNP30[algorithm]
+
+
+def test_reference_loop_matches_the_cold_solver_goldens():
+    # the goldens pinned by a loop that shares no memo, threshold, stored
+    # flow or batch with the engine
+    for algorithm, got in golden_digests(reference_run):
         assert got == GOLDEN_GNP30[algorithm]
 
 
