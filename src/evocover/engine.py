@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import WeightedGraph, as_genotype
+from .graph import WeightedGraph, _uniforms, as_genotype
 # solve_cover_lp is unused here but stays importable: the benchmark's tracer
 # (bench/tracing.py) wraps engine.solve_cover_lp by name.
 from .lp import DoubleCover, lp_value2, solve_cover_lp  # noqa: F401
@@ -95,10 +95,10 @@ class RngStream:
 
     The generator is seeded through SeedSequence, so identical seeds give
     identical draw sequences and distinct seeds give independent streams.
-    Draws come from fixed-size blocks of 4096 uniforms; a block is replaced
-    (never overwritten) when fewer draws remain than requested. For
-    ``below`` a block keeps the ascending positions of its uniforms under
-    one p, and a cursor into them that only moves forward, as draws do.
+    Draws come from blocks of 4096 ``_uniforms``, each replaced (never
+    overwritten) when fewer draws remain than requested. For ``below`` a
+    block keeps the ascending positions of its uniforms under one p, and a
+    cursor into them that only moves forward, as draws do.
     """
 
     BLOCK = 4096
@@ -107,12 +107,12 @@ class RngStream:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        self._gen = np.random.PCG64(np.random.SeedSequence(seed))
         self._next_block()
         self._pos = 0
 
     def _next_block(self) -> None:
-        self._buf = self._gen.random(self.BLOCK)
+        self._buf = _uniforms(self._gen, self.BLOCK)
         # _hits lists the positions of the uniforms < _hits_p, then BLOCK;
         # _hits[_at] is the first of them at or after the last below() window
         self._hits_p = None
@@ -131,7 +131,7 @@ class RngStream:
         pos = self._pos
         if pos + k > self.BLOCK:
             if k > self.BLOCK:
-                return self._gen.random(k)
+                return _uniforms(self._gen, k)
             self._next_block()
             pos = 0
         self._pos = pos + k
@@ -155,7 +155,7 @@ class RngStream:
         else:
             hits = self._hits
             at = self._at
-            while hits[at] < pos:  # hits that uniform() or uniforms() took
+            while hits[at] < pos:  # hits that other draws took
                 at += 1
         out = []
         while hits[at] < end:
@@ -164,17 +164,21 @@ class RngStream:
         self._at = at
         return out
 
-    def rows(self, width: int, most: int) -> np.ndarray:
-        """A (k, width) view of the next k <= most rows in the block, undrawn."""
+    def rows(self, width: int) -> np.ndarray:
+        """Draws the whole rows of ``width`` uniforms left in the block: a (k, width) view."""
         pos = self._pos
-        k = min(most, (self.BLOCK - pos) // width)
-        return self._buf[pos:pos + k * width].reshape(k, width)
+        self._pos = end = pos + (self.BLOCK - pos) // width * width
+        return self._buf[pos:end].reshape(-1, width)
 
-    def skip(self, count: int) -> None:
-        """Draw ``count`` uniforms of the block, as ``rows`` shows them."""
-        self._pos += count
-        if self._hits_p is not None:
-            self._at = bisect_left(self._hits, self._pos)
+
+def _decode(rows: np.ndarray, n: int) -> tuple:
+    """Parent picks and int64 flip masks (n <= 62) of whole rows: ``lo`` of the draws under
+    1/n and, in rows of 2 + n (else None), ``hi`` of those under 1/2 where the coin is, else lo.
+    A child flips lo | (hi & hot): every draw under 1/n is under 1/2 but at n = 1, with no edge."""
+    draws, unit = rows[:, -n:], 1 << np.arange(n, dtype=np.int64)
+    lo = (draws < 1.0 / n) @ unit
+    hi = None if rows.shape[1] == n + 1 else np.where(rows[:, 1] < 0.5, (draws < 0.5) @ unit, lo)
+    return rows[:, 0], lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +189,7 @@ class Individual:
     """A genotype with its cached objective values and derived data; the
     genotype is kept only as its ``code``, sum(b_v 2^v) over its bits b_v."""
 
-    __slots__ = ("code", "cost", "lp2", "ones", "uncovered", "graph", "box", "_alt_pvec")
+    __slots__ = ("code", "cost", "lp2", "ones", "uncovered", "graph", "box", "_alt_pvec", "_hot")
 
     def __init__(self, code: int, cost: int, lp2: int, ones: int, uncovered: int,
                  graph: WeightedGraph | None):
@@ -197,6 +201,7 @@ class Individual:
         self.graph = graph
         self.box: BoxIndex | None = None
         self._alt_pvec: np.ndarray | None = None
+        self._hot: int | None = None
 
     @property
     def bits(self) -> np.ndarray:
@@ -212,6 +217,14 @@ class Individual:
         if self._alt_pvec is None:
             self._alt_pvec = _focused_pvec(self.graph, self.bits)
         return self._alt_pvec
+
+    def hot(self) -> int:
+        """The ends of the edges the genotype leaves uncovered, as a code."""
+        if self._hot is None:
+            free = ~self.code
+            self._hot = sum(1 << v for v, nbrs in enumerate(self.graph._neighbours)
+                            if nbrs & free and free >> v & 1)
+        return self._hot
 
     def __repr__(self) -> str:  # debugging aid
         return f"Individual(cost={self.cost}, lp2={self.lp2}, ones={self.ones})"
@@ -397,6 +410,15 @@ def _focused_pvec(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
     pvec = np.full(g.n, 1.0 / g.n)
     pvec[tails[~(sel[tails] | sel[heads])]] = 0.5
     return pvec
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Ascending positions of the 1 bits of ``mask`` >= 0."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _flip_positions(rng: RngStream, n: int,
@@ -681,7 +703,8 @@ def run(algorithm: str,
     one mutation, one insertion attempt. Deterministic for a fixed seed.
     Iteration 0 inserts the random initial genotype; ``callback`` is called
     after each later one, and must leave the archive as it is. A ratio
-    target below LP(0^n), which no cover meets, needs a budget. At n <= 16,
+    target below LP(0^n), which no cover meets, needs a budget. At n <= 62,
+    each block's rows of draws are decoded at once (``_decode``); at n <= 16,
     runs of rejected memo hits are committed in numpy batches (README)."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -723,9 +746,10 @@ def run(algorithm: str,
     batch, wait, backoff, stale = 32, 0, 16, True
     if table is not None:
         table_cost, table_lp2, table_ones = table
-        unit = 1 << np.arange(n, dtype=np.int64)
-        width = n + 1 + use_alt  # parent pick, branch coin, n flip draws
-        p = 1.0 / n
+    width = n + 1 + use_alt  # parent pick, branch coin, n flip draws
+    # at n <= 62 a flip mask fits an int64: at the first whole row of each
+    # block, its whole rows are drawn and decoded at once; r of k are read
+    fresh, r, k = n <= 62, 0, 0
 
     best_cost: int | None = None
     best_code: int | None = None
@@ -780,24 +804,25 @@ def run(algorithm: str,
             callback(it, cand, accepted, archive)
         if done or it == budget:
             break
+        if fresh:
+            # arrays where batches read most rows (n <= 16), else lists
+            picks, lo, hi = [a if a is None or table is not None else a.tolist()
+                             for a in _decode(rng.rows(width), n)]
+            fresh, r, k = False, 0, len(picks)
         if table is not None and not wait:
             if stale or size != len(codes):  # an accept or a dpbea collapse
-                members = archive.members
-                codes = np.array([m.code for m in members])
+                codes = np.array([m.code for m in archive.members])
+                hots = np.array([m.hot() for m in archive.members]) if use_alt else None
                 test = archive.batch_test(n)
-                if use_alt:  # focused flip probabilities, then 1/n
-                    pvecs = np.array([m.focused_pvec() for m in members] + [np.full(n, 1.0 / n)])
                 stale = False
             start = it
             while True:
-                rows = rng.rows(width, batch if budget is None else min(batch, budget - it))
-                if not len(rows):
+                j = min(k, r + (batch if budget is None else min(batch, budget - it)))
+                if j == r:
                     break
-                pick = (rows[:, 0] * size).astype(np.intp)
-                if use_alt:
-                    p = pvecs[np.where(rows[:, 1] < 0.5, pick, size)]
-                flips = rows[:, -n:] < p
-                child = codes[pick] ^ (flips @ unit)
+                pick = (picks[r:j] * size).astype(np.intp)
+                mask = lo[r:j] | (hi[r:j] & hots[pick]) if use_alt else lo[r:j]
+                child = codes[pick] ^ mask
                 cost, lp2 = table_cost[child], table_lp2[child]
                 # commit up to a child unknown (-1) or that may change the run
                 if not dpbea:
@@ -808,7 +833,7 @@ def run(algorithm: str,
                 c = int(ok.argmin())
                 if ok[c]:
                     c = len(ok)
-                rng.skip(c * width)
+                r += c
                 if record_series:
                     series += [(i, size, best_cost) for i in range(it + 1, it + c + 1)]
                 if cap is not None and (size > cap or dpbea and archive.max_group_size > 2):
@@ -833,9 +858,20 @@ def run(algorithm: str,
             wait -= 1
         it += 1
         members = archive.members
-        parent = members[int(rng.uniform() * len(members))]
-        flips = _flip_positions(rng, n, parent.focused_pvec if use_alt else None)
-        cand = ev.evaluate(None, parent, threshold, flips) if flips else parent
+        if r < k:  # a decoded row
+            parent = members[int(picks[r] * len(members))]
+            mask = lo[r]
+            if use_alt and hi[r] != mask:  # the focused branch
+                mask |= hi[r] & parent.hot()
+            r += 1
+            cand = parent if not mask else ev._cache.get(parent.code ^ mask)
+            if cand is None:
+                cand = ev.evaluate(None, parent, threshold, _set_bits(int(mask)))
+        else:  # the row across a block's end, and every row at n > 62
+            fresh = n <= 62
+            parent = members[int(rng.uniform() * len(members))]
+            flips = _flip_positions(rng, n, parent.focused_pvec if use_alt else None)
+            cand = ev.evaluate(None, parent, threshold, flips) if flips else parent
 
     return RunTrace(
         algorithm=algorithm,

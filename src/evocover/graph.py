@@ -51,6 +51,11 @@ class WeightedGraph(_GraphFields):
         return np.concatenate((u, v)), np.concatenate((v, u))
 
     @cached_property
+    def _neighbours(self) -> list[int]:
+        """Each vertex's neighbours as a bit mask."""
+        return [sum(1 << y for _, y in arcs) for arcs in self._double_cover[3]]
+
+    @cached_property
     def _double_cover(self) -> tuple:
         """(weights, tail, head, out, inn): the double cover's topology, read
         only by every ``DoubleCover`` of this graph. Edge arc a runs tail[a]_L
@@ -170,6 +175,11 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def _uniforms(bit_generator: np.random.BitGenerator, k: int) -> np.ndarray:
+    """k uniforms in [0, 1): the top 53 bits of raw outputs (NEP 19 keeps them), times 2^-53."""
+    return (bit_generator.random_raw(k) >> 11) * 2.0 ** -53
+
+
 def _draw_weights(rng: np.random.Generator, n: int, w_max: int) -> list[int]:
     if w_max < 1:
         raise ValueError(f"w_max must be >= 1, got {w_max}")
@@ -197,7 +207,7 @@ def gnp(n: int, p: float, w_max: int = 1, seed: int = 0) -> WeightedGraph:
     total = n * (n - 1) // 2
     edges = []
     for b in range(0, total, _GNP_BLOCK):
-        hits = np.flatnonzero(rng.random(min(_GNP_BLOCK, total - b)) < p) + b
+        hits = np.flatnonzero(_uniforms(rng.bit_generator, min(_GNP_BLOCK, total - b)) < p) + b
         i = starts.searchsorted(hits, "right") - 1
         edges += zip(i.tolist(), (hits - starts[i] + i + 1).tolist())
     return build_graph(n, weights, edges)

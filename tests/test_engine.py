@@ -170,29 +170,107 @@ def test_rng_below_matches_uniforms_over_a_long_random_interleaving():
             assert a.uniform() == b.uniform()
 
 
-def test_rng_rows_and_skip_draw_as_uniform_and_below():
-    # a batch reads rows of 1 + n uniforms without drawing them, then skips
-    # the rows it commits; a twin stream draws each committed row as the
-    # scalar loop does, with uniform() and below(n, 1/n), and so does the
-    # iteration after each batch on both. Rows never leave the block, so at
-    # its end that iteration replaces it (4096 is no multiple of 13).
-    n, p = 12, 1 / 12
+def test_rng_rows_draw_as_uniform_and_below():
+    # rows(width) draws the whole rows left in the block at once; a twin
+    # stream draws each row as the scalar loop does, with uniform() and
+    # below(width - 1, p). Other draws come before and after, so rows start
+    # anywhere in a block, and below() after wide rows, in the same block,
+    # steps over the hits that rows took.
     a, b = ec.RngStream(13), ec.RngStream(13)
     pick = np.random.default_rng(6)
-    cut = 0
-    for _ in range(600):
-        most = int(pick.integers(1, 80))
-        rows = a.rows(n + 1, most)
-        commit = int(pick.integers(len(rows) + 1))
-        for row in rows[:commit]:
+    p = 1 / 12
+    for _ in range(200):
+        for _ in range(int(pick.integers(4))):
+            assert a.uniform() == b.uniform()
+            assert a.below(12, p) == b.below(12, p)
+        width = int(pick.choice((13, 100, 700)))
+        for row in a.rows(width):
             assert row[0] == b.uniform()
-            assert np.flatnonzero(row[1:] < p).tolist() == b.below(n, p)
-        a.skip(commit * (n + 1))
-        cut += len(rows) < most and commit == len(rows)  # the next draws cross
-        assert a.uniform() == b.uniform()
-        assert a.below(n, p) == b.below(n, p)
-    assert cut > 5
+            assert np.flatnonzero(row[1:] < p).tolist() == b.below(width - 1, p)
+        assert not len(a.rows(width))
+        for _ in range(int(pick.integers(40))):
+            assert a.below(12, p) == b.below(12, p)
+            assert a.uniform() == b.uniform()
     assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 14, 15, 16, 17, 24, 61, 62])
+def test_decoded_rows_draw_as_uniform_and_below(n):
+    # run draws the whole rows of each block at once and decodes them, and
+    # draws the row across the block's end with uniform() and
+    # _flip_positions. A twin stream draws every row as the reference loop
+    # does: uniform() for the pick, for rows of 2 + n uniform() for the coin,
+    # then below(n, 1/n) or, where the coin is under 1/2, uniforms(n) <
+    # focused_pvec(). 50 blocks for each row width; rows of 16 (n = 15 plain,
+    # n = 14 alt) and 64 (n = 62 alt) end exactly at a block's end.
+    g = ec.gnp(n, 0.3, w_max=4, seed=n)
+    ev = ec.Evaluator(g)
+    choose = np_rng(n)
+    pool = [ev.evaluate(bits) for bits in choose.integers(0, 2, (8, n), dtype=np.uint8)]
+    for alt in (False, True):
+        width = n + 1 + alt
+        a, b = ec.RngStream(n), ec.RngStream(n)
+        assert np.array_equal(a.uniforms(n), b.uniforms(n))
+        for _ in range(50):
+            picks, lo, hi = ec.engine._decode(a.rows(width), n)
+            assert (hi is None) == (not alt)
+            parents = [pool[i] for i in choose.integers(0, len(pool), len(picks))]
+            for pick, low, high, parent in zip(picks.tolist(), lo.tolist(),
+                                               [0] * len(lo) if hi is None else hi.tolist(), parents):
+                assert pick == b.uniform()
+                if alt and b.uniform() < 0.5:
+                    flips = np.flatnonzero(b.uniforms(n) < parent.focused_pvec()).tolist()
+                else:
+                    flips = b.below(n, 1 / n)
+                mask = (high & parent.hot()) | (low & ~parent.hot()) if alt else low
+                assert ec.engine._set_bits(mask) == flips
+            assert not len(a.rows(width))  # the next row crosses the block's end
+            parent = pool[len(picks) % len(pool)]
+            assert a.uniform() == b.uniform()
+            focused = parent.focused_pvec if alt else None
+            assert ec.engine._flip_positions(a, n, focused) == ec.engine._flip_positions(b, n, focused)
+        assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize("n", [12, 24, 62, 63])
+def test_runs_draw_whole_blocks_of_rows_up_to_n_62(monkeypatch, n):
+    # up to n = 62 (a flip mask in an int64), rows() draws each block's
+    # rows, and uniform() draws only the picks and coins of the rows across
+    # the blocks' ends; from n = 63 every row is drawn with uniform()
+    calls = {"uniform": 0, "rows": 0}
+
+    class CountedRng(ec.RngStream):
+        def uniform(self):
+            calls["uniform"] += 1
+            return super().uniform()
+
+        def rows(self, width):
+            calls["rows"] += 1
+            return super().rows(width)
+
+    monkeypatch.setattr(ec.engine, "RngStream", CountedRng)
+    g = ec.gnp(n, 0.2, w_max=16, seed=1)
+    for algorithm in ("gsemo", "gsemo-alt"):
+        calls.update(uniform=0, rows=0)
+        assert ec.run(algorithm, g, 1, ec.Termination(budget=1000)).iterations == 1000
+        rows_per_block = 4096 // (n + 1 + (algorithm == "gsemo-alt"))
+        if n <= 62:
+            assert calls["rows"] >= 1000 // rows_per_block
+            assert calls["uniform"] <= 2 * calls["rows"]
+        else:
+            assert calls["rows"] == 0 and calls["uniform"] >= 1000
+
+
+def test_hot_is_the_ends_of_the_uncovered_edges():
+    # where 1/n != 1/2, the bits that the focused branch flips with 1/2
+    for n in (1, 3, 12, 24, 62):
+        g = ec.gnp(n, 0.3, w_max=4, seed=n)
+        ev = ec.Evaluator(g)
+        for bits in np_rng(n).integers(0, 2, (20, n), dtype=np.uint8):
+            ind = ev.evaluate(bits)
+            ends = {v for e in g.edges if not (bits[e[0]] or bits[e[1]]) for v in e}
+            assert ind.hot() == sum(1 << v for v in ends)
+            assert ec.engine._set_bits(ind.hot()) == np.flatnonzero(ind.focused_pvec() == 0.5).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -509,25 +587,45 @@ class ScriptedRng:
     def below(self, k, p):  # the plain mutation branch draws through this
         return np.flatnonzero(self.uniforms(k) < p).tolist()
 
-    def rows(self, width, most):  # a batch reads whole rows of the script ahead
-        k = min(most, len(self.values) // width)
-        return np.array(self.values[:k * width]).reshape(k, width)
-
-    def skip(self, count):  # and then draws the rows it committed
-        assert count <= len(self.values), "loop drew more values than scripted"
-        del self.values[:count]
+    def rows(self, width):  # the whole rows of the script ahead, drawn at once
+        k = len(self.values) // width
+        rows = np.array(self.values[:k * width]).reshape(k, width)
+        del self.values[:k * width]
+        return rows
 
 
 class RecordedRng(ScriptedRng):
-    """Also records the count of each ``skip``."""
+    """Also records how many values each ``rows`` call drew."""
 
     def __init__(self, values):
         super().__init__(values)
-        self.skipped = []
+        self.drawn = []
 
-    def skip(self, count):
-        self.skipped.append(count)
-        super().skip(count)
+    def rows(self, width):
+        rows = super().rows(width)
+        self.drawn.append(rows.size)
+        return rows
+
+
+def batch_commits(monkeypatch, archive_class):
+    """Wraps ``archive_class.batch_test``. Returns a function that lists,
+    for each chunk of rows that a batch of ``run`` tested, how many it
+    committed: the rows before the first that fails the test (or, for
+    dpbea, the cover guard, which narrows the test's array in place)."""
+    tested = []
+    made = archive_class.batch_test
+
+    def batch_test(self, n):
+        test = made(self, n)
+
+        def recorded(cost, lp2, ones):
+            tested.append(test(cost, lp2, ones))
+            return tested[-1]
+
+        return recorded
+
+    monkeypatch.setattr(archive_class, "batch_test", batch_test)
+    return lambda: [len(ok) if ok.all() else int(ok.argmin()) for ok in tested]
 
 
 def test_gsemo_loop_structure(monkeypatch):
@@ -557,21 +655,22 @@ def test_alt_loop_draws_branch_coin(monkeypatch):
 
 def test_gsemo_batch_commits_scripted_rows(monkeypatch):
     # after initialization the memo knows 00: rows that flip nothing give
-    # it again, the archive rejects it, and a batch commits them and skips
-    # their draws; the next row flips bit 0, a genotype not yet known, and
-    # runs on the scalar path
+    # it again, the archive rejects it, and a batch commits them; the next
+    # row flips bit 0, a genotype not yet known, and runs on the scalar
+    # path. The loop draws all three rows at once
     g = ec.build_graph(2, [1, 1], [(0, 1)])
     script = [0.9, 0.9,        # init genotype (0,0): fitness (0, 2)
               0.1, 0.7, 0.8,   # it 1: parent 0, no flips: committed
               0.2, 0.6, 0.9,   # it 2: likewise
               0.3, 0.0, 0.9]   # it 3: flip bit 0 -> (1,0), a cover, scalar
     rng = RecordedRng(script)
-    skipped = rng.skipped
     monkeypatch.setattr(ec.engine, "RngStream", lambda seed: rng)
+    commits = batch_commits(monkeypatch, ec.SemoArchive)
     seen = []
     tr = ec.run("gsemo", g, 0, ec.Termination(budget=3), record_series=True,
                 callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
-    assert skipped == [6]
+    assert rng.drawn == [9]
+    assert commits() == [2]
     assert seen == [(1, 0, False), (2, 0, False), (3, 1, True)]
     assert tr.series == [(0, 1, None), (1, 1, None), (2, 1, None), (3, 2, 1)]
     assert tr.iters_to_cover == 3 and tr.best_cost == 1
@@ -593,10 +692,12 @@ def test_gsemo_alt_batch_commits_plain_and_focused_rows(monkeypatch):
               0.3, 0.9, 0.9, 0.1, 0.9]    # it 3: plain, flip bit 1 -> 010, a cover, scalar
     rng = RecordedRng(script)
     monkeypatch.setattr(ec.engine, "RngStream", lambda seed: rng)
+    commits = batch_commits(monkeypatch, ec.SemoArchive)
     seen = []
     tr = ec.run("gsemo-alt", g, 0, ec.Termination(budget=3), evaluator=ev, record_series=True,
                 callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
-    assert rng.skipped == [10]
+    assert rng.drawn == [15]
+    assert commits() == [2]
     assert seen == [(1, 1 << 2, False), (2, 1, False), (3, 1 << 1, True)]
     assert tr.series == [(0, 1, None), (1, 1, None), (2, 1, None), (3, 2, 1)]
     assert not script, "loop drew fewer values than scripted"
@@ -621,11 +722,13 @@ def test_dpbea_batch_hands_a_tied_group_to_the_scalar_path(monkeypatch):
               0.5, 0.9, 0.1, 0.9, 0.1]    # it 19: a -> 001, into [a, b]: scalar
     rng = RecordedRng(script)
     monkeypatch.setattr(ec.engine, "RngStream", lambda seed: rng)
+    commits = batch_commits(monkeypatch, ec.DpbeaArchive)
     seen = []
     tr = ec.run("dpbea", g, 0, ec.Termination(budget=19), evaluator=ev, record_series=True,
                 callback=lambda it, cand, accepted, archive: seen.append((it, cand.code, accepted)))
     a, b, d = 1, 1 << 1, 1 << 2
-    assert rng.skipped == [0, 5]
+    assert rng.drawn == [95]
+    assert commits() == [0, 1]
     assert seen == [(1, b, True), (2, a, True), *[(i, 0, False) for i in range(3, 19)],
                     (19, d, False)]
     assert tr.series == [(0, 1, None), (1, 2, 3), *[(i, 3, 3) for i in range(2, 19)],

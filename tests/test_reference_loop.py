@@ -112,3 +112,16 @@ def test_engine_matches_the_reference_loop_on_dpbea_collapses():
     # batch that comes before the next accept must rebuild its arrays
     for g in (ec.gnp(6, 0.9, w_max=2, seed=1), ec.gnp(7, 0.9, w_max=16, seed=2)):
         assert_runs_match(g, range(3), (ec.Termination(budget=4000),), algorithms=("dpbea",))
+
+
+@pytest.mark.parametrize("n, p, seed, budget", [(24, 0.25, 2, 1000), (62, 0.1, 1, 300),
+                                                (63, 0.1, 1, 300)])
+def test_engine_matches_the_reference_loop_around_the_decoded_rows(n, p, seed, budget):
+    # up to n = 62 every row inside a block is read decoded, and only the
+    # row across its end is drawn scalar; from n = 63 every row is. n = 24
+    # is the benchmark's target-n24 graph; each run crosses 4 or more blocks
+    g = ec.gnp(n, p, w_max=16, seed=seed)
+    terms = (terminations(g, budget) if n <= 32 else
+             (ec.Termination(budget=budget),
+              ec.Termination(budget=budget, any_cover=True, until_zero_string=True)))
+    assert_runs_match(g, (1, 2, 3), terms)
