@@ -219,11 +219,16 @@ class Individual:
         return self._alt_pvec
 
     def hot(self) -> int:
-        """The ends of the edges the genotype leaves uncovered, as a code."""
+        """The ends of the edges the genotype leaves uncovered, as a code: the
+        unselected vertices with an unselected neighbour, ``free & OR_k
+        T[k][byte k of free]`` over the graph's byte tables (n/8 lookups)."""
         if self._hot is None:
-            free = ~self.code
-            self._hot = sum(1 << v for v, nbrs in enumerate(self.graph._neighbours)
-                            if nbrs & free and free >> v & 1)
+            tables = self.graph._byte_neighbours
+            free = self.code ^ (1 << self.graph.n) - 1
+            union = 0
+            for t, b in zip(tables, free.to_bytes(len(tables), "little")):
+                union |= t[b]
+            self._hot = free & union
         return self._hot
 
     def __repr__(self) -> str:  # debugging aid
@@ -243,8 +248,11 @@ class Evaluator:
     A child is evaluated from its parent and the positions it flipped: its
     code is the parent's XORed with 2**v per flip, and on a miss it gets
     its cost, ones count and number of uncovered edges from the parent's,
-    by a walk over the flipped vertices' neighbours. A whole genotype is its
-    flips from 0^n. No uncovered edge means a cover, and no LP.
+    by a walk over the flipped vertices' neighbours, on a copy of the
+    parent's 0/1 selection. That is unpacked from the parent's code at its
+    first miss and kept, as bytes, while the parent is in the archive (see
+    ``retain``). A whole genotype is its flips from 0^n. No uncovered edge
+    means a cover, and no LP.
 
     LP values come from one ``DoubleCover`` flow per graph, created when
     first needed. A child is solved from its parent's maximum flow, with the
@@ -277,6 +285,7 @@ class Evaluator:
         self._cover: DoubleCover | None = None
         self._solved = 0  # code of the network's current flow
         self._states: dict[int, tuple] = {}  # code -> DoubleCover state
+        self._sels: dict[int, bytes] = {}  # code -> _selection, for parents of misses
         # the parent of whole genotypes: never cached or solved, so no lp2
         self._zero = Individual(0, 0, None, 0, g.m, g)
         self._table = (np.full((3, 1 << g.n), -1, np.int64)
@@ -287,11 +296,13 @@ class Evaluator:
 
     def evaluate(self, bits: np.ndarray | None, parent: Individual | None = None,
                  threshold: Callable[[int, int], int | None] | None = None,
-                 flips: list[int] | None = None) -> Individual:
+                 flips: list[int] | None = None, code: int | None = None) -> Individual:
         """Objectives of the child of ``parent`` that differs from it at the
         distinct positions ``flips``; ``bits`` is then ignored (pass None).
         Without ``flips``, the objectives of the whole genotype ``bits`` (a
         0/1 sequence of length n, else ValueError), whose parent is 0^n.
+        ``code``, if given, is the child's code (a Python int), which the caller
+        has already looked up in the memo and not found.
 
         ``threshold(cost, ones)`` is the archive's smallest lp2 at which it
         is sure to reject the candidate, or None. With it, the returned lp2
@@ -301,12 +312,13 @@ class Evaluator:
         n = self.graph.n
         if flips is None:
             parent, flips = self._zero, np.flatnonzero(as_genotype(bits, n)).tolist()
-        code = parent.code
-        for v in flips:
-            code ^= 1 << v
-        ind = self._cache.get(code)
-        if ind is not None:
-            return ind
+        if code is None:
+            code = parent.code
+            for v in flips:
+                code ^= 1 << v
+            ind = self._cache.get(code)
+            if ind is not None:
+                return ind
         ind = self._bounded.get(code)
         if ind is not None:
             limit = None if threshold is None else threshold(ind.cost, ind.ones)
@@ -324,7 +336,10 @@ class Evaluator:
             cover = self._cover = DoubleCover(self.graph)
         nbrs, w = cover._out, cover._w
         cost, ones, uncovered = parent.cost, parent.ones, parent.uncovered
-        sel = list(_selection(parent.code, n))
+        key = self._sels.get(parent.code)
+        if key is None:
+            key = self._sels[parent.code] = _selection(parent.code, n)
+        sel = list(key)  # the child's, after the flips
         # one flip at a time, each against the selection left by the
         # ones before it, so an edge flipped at both ends counts once
         for v in flips:
@@ -389,13 +404,15 @@ class Evaluator:
         """Report that ``ind`` entered the archive, now ``members``.
 
         Stores ``ind``'s flow if it is the last one solved, and drops the
-        states of genotypes no longer in the archive.
+        states and selections of genotypes no longer in the archive.
         """
-        states = self._states
+        states, sels = self._states, self._sels
         if ind.code == self._solved and ind.code not in states:
             states[ind.code] = self._cover.state()
         if len(states) > len(members):
             self._states = {m.code: states[m.code] for m in members if m.code in states}
+        if len(sels) > len(members):
+            self._sels = {m.code: sels[m.code] for m in members if m.code in sels}
 
 
 # ---------------------------------------------------------------------------
@@ -865,8 +882,9 @@ def run(algorithm: str,
                 mask |= hi[r] & parent.hot()
             r += 1
             cand = parent if not mask else ev._cache.get(parent.code ^ mask)
-            if cand is None:
-                cand = ev.evaluate(None, parent, threshold, _set_bits(int(mask)))
+            if cand is None:  # a miss; at n <= 16 the mask is an np.int64, not a code
+                mask = int(mask)
+                cand = ev.evaluate(None, parent, threshold, _set_bits(mask), parent.code ^ mask)
         else:  # the row across a block's end, and every row at n > 62
             fresh = n <= 62
             parent = members[int(rng.uniform() * len(members))]

@@ -51,9 +51,19 @@ class WeightedGraph(_GraphFields):
         return np.concatenate((u, v)), np.concatenate((v, u))
 
     @cached_property
-    def _neighbours(self) -> list[int]:
-        """Each vertex's neighbours as a bit mask."""
-        return [sum(1 << y for _, y in arcs) for arcs in self._double_cover[3]]
+    def _byte_neighbours(self) -> list[list[int]]:
+        """t[k][b]: the union of the neighbour masks (sum 2^y over the
+        neighbours y) of the vertices 8k + i over the 1 bits i of the byte b,
+        one table of 256 per byte of a code."""
+        # each vertex's mask, then 0 for the last byte's bits past n - 1
+        nbrs = [sum(1 << y for _, y in arcs) for arcs in self._double_cover[3]] + [0] * 7
+        tables = []
+        for k in range(0, self.n, 8):
+            t = [0] * 256
+            for b in range(1, 256):  # b with its lowest bit cleared, then that bit
+                t[b] = t[b & b - 1] | nbrs[k + (b & -b).bit_length() - 1]
+            tables.append(t)
+        return tables
 
     @cached_property
     def _double_cover(self) -> tuple:

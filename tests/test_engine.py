@@ -262,15 +262,22 @@ def test_runs_draw_whole_blocks_of_rows_up_to_n_62(monkeypatch, n):
 
 
 def test_hot_is_the_ends_of_the_uncovered_edges():
-    # where 1/n != 1/2, the bits that the focused branch flips with 1/2
-    for n in (1, 3, 12, 24, 62):
+    # where 1/n != 1/2, the bits that the focused branch flips with 1/2, read
+    # from the graph's byte tables: n below, at and past a byte boundary,
+    # every code at n <= 9
+    found = 0
+    for n in (1, 3, 7, 8, 9, 12, 16, 17, 24, 62):
         g = ec.gnp(n, 0.3, w_max=4, seed=n)
         ev = ec.Evaluator(g)
-        for bits in np_rng(n).integers(0, 2, (20, n), dtype=np.uint8):
+        rows = (np.array(list(itertools.product((0, 1), repeat=n)), np.uint8) if n <= 9
+                else np_rng(n).integers(0, 2, (50, n), dtype=np.uint8))
+        for bits in rows:
             ind = ev.evaluate(bits)
             ends = {v for e in g.edges if not (bits[e[0]] or bits[e[1]]) for v in e}
-            assert ind.hot() == sum(1 << v for v in ends)
+            assert ind.hot() == sum(1 << v for v in ends), (n, bits)
             assert ec.engine._set_bits(ind.hot()) == np.flatnonzero(ind.focused_pvec() == 0.5).tolist()
+            found += bool(ends)
+    assert found > 500
 
 
 # ---------------------------------------------------------------------------
@@ -1199,6 +1206,61 @@ def test_stored_states_never_change():
             assert len(copies) > 5, (g.n, algorithm)
 
 
+@pytest.mark.parametrize("n", [12, 16, 24, 62])
+def test_codes_stay_python_ints(n):
+    # at n <= 16 the decoded flip masks are np.int64; a code XORed with one
+    # would reach the memo and the archive as np.int64, where hot() fails
+    g = ec.gnp(n, min(0.4, 5 / n), w_max=16, seed=n)
+    for algorithm in ec.ALGORITHMS:
+        ev = ec.Evaluator(g)
+        for seed in (1, 2, 3):
+            archives = []
+            ec.run(algorithm, g, seed, ec.Termination(budget=1500), evaluator=ev,
+                   callback=lambda it, cand, accepted, archive: archives.append(archive))
+            inds = [*ev._cache.items(), *ev._bounded.items(),
+                    *((m.code, m) for m in archives[-1].members)]
+            for code, ind in inds:
+                assert type(code) is int and type(ind.code) is int, (algorithm, seed)
+                assert code == ind.code == code_of(ind.bits), (algorithm, seed)
+
+
+@pytest.mark.parametrize("n", [12, 24, 62, 100])
+def test_member_selections_are_cached_while_members(n):
+    # a miss copies its parent's selection, unpacked once and kept while the
+    # parent is a member; a decoded row's miss comes with its child's code
+    g = ec.gnp(n, min(0.4, 5 / n), w_max=16, seed=n)
+    expected = {}  # code -> its 0/1 bytes, made once by the slow route
+
+    class CheckedEvaluator(ec.Evaluator):
+        def evaluate(self, bits, parent=None, threshold=None, flips=None, code=None):
+            ind = super().evaluate(bits, parent, threshold, flips, code)
+            if code is not None:
+                handed[0] += 1
+                assert code == parent.code ^ sum(1 << v for v in flips)
+                assert super().evaluate(bits, parent, threshold, flips) is ind
+                ref = ec.Evaluator(g).evaluate(bits_of(code, n))
+                assert (ind.code, ind.cost, ind.ones, ind.uncovered) == \
+                    (ref.code, ref.cost, ref.ones, ref.uncovered)
+                assert ind.lp2 == ref.lp2 if code in self._cache else 1 <= ind.lp2 <= ref.lp2
+            return ind
+
+    def check(it, cand, accepted, archive):
+        for code, key in ev._sels.items():
+            if code not in expected:
+                expected[code] = bits_of(code, n).tobytes()
+            assert key == expected[code], (algorithm, it)
+        if accepted:
+            assert len(ev._sels) <= len(archive.members), (algorithm, it)
+
+    for algorithm in ec.ALGORITHMS:
+        handed = [0]
+        ev = CheckedEvaluator(g)
+        for seed in (1, 2):
+            ec.run(algorithm, g, seed, ec.Termination(budget=800), evaluator=ev, callback=check)
+        assert ev._sels, algorithm
+        assert (handed[0] > 0) == (n <= 62), algorithm
+
+
 def test_bounded_candidates_never_enter_the_archive():
     # searches stopped at the archive's threshold give lower bounds, which
     # must only ever be rejected; members and stored flows stay exact. At
@@ -1237,8 +1299,8 @@ def test_bounded_candidates_never_enter_the_archive():
 class _ExactEvaluator(ec.Evaluator):
     """Ignores the archive's threshold: every search runs to the maximum."""
 
-    def evaluate(self, bits, parent=None, threshold=None, flips=None):
-        return super().evaluate(bits, parent, None, flips)
+    def evaluate(self, bits, parent=None, threshold=None, flips=None, code=None):
+        return super().evaluate(bits, parent, None, flips, code)
 
 
 def test_stopped_searches_leave_runs_unchanged():
