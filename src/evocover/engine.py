@@ -5,7 +5,7 @@ mutate, evaluate the two objectives (selection cost, doubled residual LP
 value), and let the archive discipline decide acceptance and eviction.
 
   gsemo      Pareto archive under weak dominance, standard 1/n mutation.
-  gsemo-alt  same archive, uncovered-incidence mutation (see below).
+  gsemo-alt  same archive, uncovered-incidence mutation (``Individual.hot``).
   demo       multiplicative boxing with delta = 1/(2n); one member per box,
              box ties resolved by minimal cost + lp2.
   dpbea      per-ones-count groups keeping the minimizers of 2*cost + lp2
@@ -31,6 +31,9 @@ from .lp import DoubleCover, lp_value2, solve_cover_lp  # noqa: F401
 ALGORITHMS = ("gsemo", "gsemo-alt", "demo", "dpbea")
 _BYTES = bytes.maketrans(b"01", b"\0\1")
 _NEVER = 1 << 62  # > lp2
+# the largest n whose graphs get hot()'s byte tables, of about 4 n^2 bytes
+# (5.3 MB here by tracemalloc, about 67 MB at n = 4096)
+_TABLES_MAX_N = 1024
 
 
 def _selection(code: int, n: int) -> bytes:
@@ -87,7 +90,7 @@ def demo_archive_capacity(n: int, w_max: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Randomness
+# Draws and flip masks
 # ---------------------------------------------------------------------------
 
 class RngStream:
@@ -96,32 +99,24 @@ class RngStream:
     The generator is seeded through SeedSequence, so identical seeds give
     identical draw sequences and distinct seeds give independent streams.
     Draws come from blocks of 4096 ``_uniforms``, each replaced (never
-    overwritten) when fewer draws remain than requested. For ``below`` a
-    block keeps the ascending positions of its uniforms under one p, and a
-    cursor into them that only moves forward, as draws do.
+    overwritten) when fewer draws remain than requested.
     """
 
     BLOCK = 4096
 
-    __slots__ = ("seed", "_gen", "_buf", "_pos", "_hits", "_hits_p", "_at")
+    __slots__ = ("seed", "_gen", "_buf", "_pos")
 
     def __init__(self, seed: int):
         self.seed = seed
         self._gen = np.random.PCG64(np.random.SeedSequence(seed))
-        self._next_block()
-        self._pos = 0
-
-    def _next_block(self) -> None:
         self._buf = _uniforms(self._gen, self.BLOCK)
-        # _hits lists the positions of the uniforms < _hits_p, then BLOCK;
-        # _hits[_at] is the first of them at or after the last below() window
-        self._hits_p = None
+        self._pos = 0
 
     def uniform(self) -> float:
         """The next uniform in [0, 1), as a Python float."""
         pos = self._pos
         if pos >= self.BLOCK:
-            self._next_block()
+            self._buf = _uniforms(self._gen, self.BLOCK)
             pos = 0
         self._pos = pos + 1
         return self._buf.item(pos)
@@ -132,37 +127,10 @@ class RngStream:
         if pos + k > self.BLOCK:
             if k > self.BLOCK:
                 return _uniforms(self._gen, k)
-            self._next_block()
+            self._buf = _uniforms(self._gen, self.BLOCK)
             pos = 0
         self._pos = pos + k
         return self._buf[pos:pos + k]
-
-    def below(self, k: int, p: float) -> list[int]:
-        """Ascending positions of the uniforms < p among the next k, drawn
-        as ``uniforms(k)`` draws them. Within a block, the cursor steps over
-        the hits that other draws took since the last call, then collects
-        the window's; a new block or p lists the hits again and bisects."""
-        pos = self._pos
-        end = pos + k
-        if end > self.BLOCK:  # a new block, or more than a block
-            return np.flatnonzero(self.uniforms(k) < p).tolist()
-        self._pos = end
-        if p != self._hits_p:
-            self._hits_p = p
-            self._hits = hits = np.flatnonzero(self._buf < p).tolist()
-            hits.append(self.BLOCK)  # a sentinel: end <= BLOCK stops each scan
-            at = bisect_left(hits, pos)
-        else:
-            hits = self._hits
-            at = self._at
-            while hits[at] < pos:  # hits that other draws took
-                at += 1
-        out = []
-        while hits[at] < end:
-            out.append(hits[at] - pos)
-            at += 1
-        self._at = at
-        return out
 
     def rows(self, width: int) -> np.ndarray:
         """Draws the whole rows of ``width`` uniforms left in the block: a (k, width) view."""
@@ -171,14 +139,53 @@ class RngStream:
         return self._buf[pos:end].reshape(-1, width)
 
 
-def _decode(rows: np.ndarray, n: int) -> tuple:
-    """Parent picks and int64 flip masks (n <= 62) of whole rows: ``lo`` of the draws under
-    1/n and, in rows of 2 + n (else None), ``hi`` of those under 1/2 where the coin is, else lo.
-    A child flips lo | (hi & hot): every draw under 1/n is under 1/2 but at n = 1, with no edge."""
-    draws, unit = rows[:, -n:], 1 << np.arange(n, dtype=np.int64)
-    lo = (draws < 1.0 / n) @ unit
-    hi = None if rows.shape[1] == n + 1 else np.where(rows[:, 1] < 0.5, (draws < 0.5) @ unit, lo)
-    return rows[:, 0], lo, hi
+def _decode(rng: RngStream, n: int, width: int) -> tuple:
+    """Draws the next rows of ``width`` = 1 + n or 2 + n: the whole rows left
+    in the block, else the row across its end, drawn as single rows are
+    (``uniform()`` for the pick and the coin, ``uniforms(n)`` for the flips),
+    and the whole rows of the block its flips opened. Returns their parent
+    picks and two flip masks, each a genotype code: ``lo`` of the draws
+    under 1/n and, in rows of 2 + n (else None), ``hi`` of those under 1/2
+    where the coin is, else lo. A child flips lo | (hi & hot): every draw
+    under 1/n is under 1/2 but at n = 1, with no edge. Arrays at n <= 16,
+    where the batches read them, else lists; the masks are int64 at n <=
+    62, else Python ints, the 64-bit words of each row's ``packbits``
+    joined, with hi packed only for the rows whose coin is under 1/2."""
+    rows = rng.rows(width)
+    if not len(rows):
+        first = np.concatenate(([rng.uniform() for _ in range(width - n)], rng.uniforms(n)))
+        rows = np.concatenate((first[None], rng.rows(width)))
+    picks, draws = rows[:, 0], rows[:, -n:]
+    if n <= 62:
+        unit = 1 << np.arange(n, dtype=np.int64)
+        lo = (draws < 1.0 / n) @ unit
+        hi = None if width == n + 1 else np.where(rows[:, 1] < 0.5, (draws < 0.5) @ unit, lo)
+        out = picks, lo, hi
+        return out if n <= 16 else tuple(a if a is None else a.tolist() for a in out)
+    k = len(rows)
+    focus = np.flatnonzero(rows[:, 1] < 0.5) if width > n + 1 else []
+    flags = np.zeros((k + len(focus), n + -n % 64), np.bool_)  # lo's rows, then hi's
+    np.less(draws, 1.0 / n, out=flags[:k, :n])
+    np.less(draws[focus], 0.5, out=flags[k:, :n])
+    words = np.packbits(flags, axis=1, bitorder="little").view("<u8").T.tolist()
+    codes = words[0]
+    for j in range(1, len(words)):
+        codes = [c | w << 64 * j for c, w in zip(codes, words[j])]
+    lo, hi = codes[:k], None
+    if width > n + 1:
+        hi = lo.copy()
+        for i, h in zip(focus.tolist(), codes[k:]):
+            hi[i] = h
+    return picks.tolist(), lo, hi
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Ascending positions of the 1 bits of ``mask`` >= 0."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +196,7 @@ class Individual:
     """A genotype with its cached objective values and derived data; the
     genotype is kept only as its ``code``, sum(b_v 2^v) over its bits b_v."""
 
-    __slots__ = ("code", "cost", "lp2", "ones", "uncovered", "graph", "box", "_alt_pvec", "_hot")
+    __slots__ = ("code", "cost", "lp2", "ones", "uncovered", "graph", "box", "_hot")
 
     def __init__(self, code: int, cost: int, lp2: int, ones: int, uncovered: int,
                  graph: WeightedGraph | None):
@@ -200,7 +207,6 @@ class Individual:
         self.uncovered = uncovered  # number of edges with no selected endpoint
         self.graph = graph
         self.box: BoxIndex | None = None
-        self._alt_pvec: np.ndarray | None = None
         self._hot: int | None = None
 
     @property
@@ -212,23 +218,28 @@ class Individual:
     def fitness(self) -> Fitness:
         return Fitness(self.cost, self.lp2)
 
-    def focused_pvec(self) -> np.ndarray:
-        """Flip probabilities of the focused mutation branch, made on first use."""
-        if self._alt_pvec is None:
-            self._alt_pvec = _focused_pvec(self.graph, self.bits)
-        return self._alt_pvec
-
     def hot(self) -> int:
         """The ends of the edges the genotype leaves uncovered, as a code: the
-        unselected vertices with an unselected neighbour, ``free & OR_k
-        T[k][byte k of free]`` over the graph's byte tables (n/8 lookups)."""
+        vertices the focused mutation branch flips with 1/2, made on first
+        use. Up to n = ``_TABLES_MAX_N``, the unselected vertices with an
+        unselected neighbour, ``free & OR_k T[k][byte k of free]`` over the
+        graph's byte tables (n/8 lookups); above, one gather per side over
+        the edges listed both ways, in O(n + m) memory."""
         if self._hot is None:
-            tables = self.graph._byte_neighbours
-            free = self.code ^ (1 << self.graph.n) - 1
-            union = 0
-            for t, b in zip(tables, free.to_bytes(len(tables), "little")):
-                union |= t[b]
-            self._hot = free & union
+            g = self.graph
+            if g.n <= _TABLES_MAX_N:
+                tables = g._byte_neighbours
+                free = self.code ^ (1 << g.n) - 1
+                union = 0
+                for t, b in zip(tables, free.to_bytes(len(tables), "little")):
+                    union |= t[b]
+                self._hot = free & union
+            else:
+                tails, heads = g._arcs
+                sel = self.bits.view(np.bool_)
+                ends = np.zeros(g.n, np.bool_)
+                ends[tails[~(sel[tails] | sel[heads])]] = True
+                self._hot = int.from_bytes(np.packbits(ends, bitorder="little").tobytes(), "little")
         return self._hot
 
     def __repr__(self) -> str:  # debugging aid
@@ -400,51 +411,19 @@ class Evaluator:
         self._solved = code
         return cover.solve(sel, flips, limit)
 
-    def retain(self, ind: Individual, members: list[Individual]) -> None:
-        """Report that ``ind`` entered the archive, now ``members``.
+    def retain(self, ind: Individual | None, left: list[Individual]) -> None:
+        """Report that ``ind`` (None if nothing) entered the archive and the
+        members ``left`` left it.
 
         Stores ``ind``'s flow if it is the last one solved, and drops the
-        states and selections of genotypes no longer in the archive.
+        states and selections of those that left.
         """
         states, sels = self._states, self._sels
-        if ind.code == self._solved and ind.code not in states:
+        if ind is not None and ind.code == self._solved and ind.code not in states:
             states[ind.code] = self._cover.state()
-        if len(states) > len(members):
-            self._states = {m.code: states[m.code] for m in members if m.code in states}
-        if len(sels) > len(members):
-            self._sels = {m.code: sels[m.code] for m in members if m.code in sels}
-
-
-# ---------------------------------------------------------------------------
-# Mutation operators
-# ---------------------------------------------------------------------------
-
-def _focused_pvec(g: WeightedGraph, bits: np.ndarray) -> np.ndarray:
-    # 1/n, and 1/2 at both ends of each edge that bits leaves uncovered,
-    # found with one gather per side over the edges listed both ways
-    tails, heads = g._arcs
-    sel = bits.view(np.bool_)
-    pvec = np.full(g.n, 1.0 / g.n)
-    pvec[tails[~(sel[tails] | sel[heads])]] = 0.5
-    return pvec
-
-
-def _set_bits(mask: int) -> list[int]:
-    """Ascending positions of the 1 bits of ``mask`` >= 0."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
-def _flip_positions(rng: RngStream, n: int,
-                    focused: Callable[[], np.ndarray] | None = None) -> list[int]:
-    """Ascending positions to flip, each with probability 1/n; or, given
-    ``focused`` and if a fair coin picks it, with those in ``focused()``."""
-    if focused is not None and rng.uniform() < 0.5:
-        return (rng.uniforms(n) < focused()).nonzero()[0].tolist()
-    return rng.below(n, 1.0 / n)
+        for m in left:
+            states.pop(m.code, None)
+            sels.pop(m.code, None)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +442,12 @@ def _flip_positions(rng: RngStream, n: int,
 class SemoArchive:
     """Pareto archive: reject weakly dominated candidates, evict the dominated."""
 
-    __slots__ = ("members", "_costs")
+    __slots__ = ("members", "_costs", "left")
 
     def __init__(self):
         self.members: list[Individual] = []
         self._costs: list[int] = []
+        self.left: list[Individual] = []  # members removed by inserts; the caller empties it
 
     def threshold(self, cost: int, ones: int) -> int | None:
         """The lp2 of the member with the largest cost <= ``cost``: at or above
@@ -499,6 +479,7 @@ class SemoArchive:
         evicted = members[j:k]
         members[j:k] = [cand]
         costs[j:k] = [cand.cost]
+        self.left += evicted
         return evicted
 
 
@@ -534,6 +515,7 @@ class DemoArchive(SemoArchive):
         if mate is not None:
             i = bisect_left(self._costs, mate.cost)
             del self.members[i], self._costs[i]
+            self.left.append(mate)
         by_box[cand.box] = cand
         return True
 
@@ -548,10 +530,11 @@ class DpbeaArchive:
     group replaces its slice of it, found by bisecting the members' ones counts.
     """
 
-    __slots__ = ("members", "_ones", "_groups", "max_group_size")
+    __slots__ = ("members", "_ones", "_groups", "max_group_size", "left")
 
     def __init__(self):
         self.members: list[Individual] = []
+        self.left: list[Individual] = []  # members removed by inserts; the caller empties it
         self._ones: list[int] = []  # members[i].ones, for the bisect
         self._groups: dict[int, list[Individual]] = {}
         self.max_group_size = 0
@@ -597,6 +580,7 @@ class DpbeaArchive:
         if grp and new_grp[0] is grp[0] and new_grp[-1] is grp[-1]:
             return False  # the candidate lost and the group is as it was
         self._groups[k] = new_grp
+        self.left += [m for m in grp if m is not min1 and m is not min2]
         lo = bisect_left(self._ones, k)  # the group's slice of members
         hi = lo + len(grp)
         self.members[lo:hi] = new_grp
@@ -720,9 +704,10 @@ def run(algorithm: str,
     one mutation, one insertion attempt. Deterministic for a fixed seed.
     Iteration 0 inserts the random initial genotype; ``callback`` is called
     after each later one, and must leave the archive as it is. A ratio
-    target below LP(0^n), which no cover meets, needs a budget. At n <= 62,
-    each block's rows of draws are decoded at once (``_decode``); at n <= 16,
-    runs of rejected memo hits are committed in numpy batches (README)."""
+    target below LP(0^n), which no cover meets, needs a budget. The rows of
+    draws are decoded a block at a time (``_decode``), and a child's flip
+    mask is ``lo | (hi & parent.hot())``; at n <= 16, runs of rejected memo
+    hits are committed in numpy batches (README)."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     ev = evaluator if evaluator is not None else Evaluator(g)
@@ -764,9 +749,7 @@ def run(algorithm: str,
     if table is not None:
         table_cost, table_lp2, table_ones = table
     width = n + 1 + use_alt  # parent pick, branch coin, n flip draws
-    # at n <= 62 a flip mask fits an int64: at the first whole row of each
-    # block, its whole rows are drawn and decoded at once; r of k are read
-    fresh, r, k = n <= 62, 0, 0
+    r = k = 0  # r of the k rows last decoded are read
 
     best_cost: int | None = None
     best_code: int | None = None
@@ -789,6 +772,10 @@ def run(algorithm: str,
     done = False
     parent = None
     cand = ev.evaluate((rng.uniforms(n) < 0.5).view(np.uint8))
+    # flows and selections are kept for this run's members only
+    ev._states.clear()
+    ev._sels.clear()
+    left = archive.left
     while True:
         if cand is parent:
             accepted = False  # nothing flipped: every archive rejects a member as is
@@ -796,8 +783,9 @@ def run(algorithm: str,
             # a candidate whose lp2 is only a bound is rejected, but still
             # inserted: a dpbea group may shrink on a rejected insert
             accepted = archive.insert(cand)
-            if accepted:
-                ev.retain(cand, archive.members)
+            if accepted or left:
+                ev.retain(cand if accepted else None, left)
+                left.clear()
                 stale = True
             size = len(archive.members)
             if size > max_arch:
@@ -821,22 +809,18 @@ def run(algorithm: str,
             callback(it, cand, accepted, archive)
         if done or it == budget:
             break
-        if fresh:
-            # arrays where batches read most rows (n <= 16), else lists
-            picks, lo, hi = [a if a is None or table is not None else a.tolist()
-                             for a in _decode(rng.rows(width), n)]
-            fresh, r, k = False, 0, len(picks)
         if table is not None and not wait:
-            if stale or size != len(codes):  # an accept or a dpbea collapse
+            if stale:  # an accept or a dpbea collapse
                 codes = np.array([m.code for m in archive.members])
                 hots = np.array([m.hot() for m in archive.members]) if use_alt else None
                 test = archive.batch_test(n)
                 stale = False
             start = it
-            while True:
+            while it != budget:
+                if r == k:
+                    picks, lo, hi = _decode(rng, n, width)
+                    r, k = 0, len(picks)
                 j = min(k, r + (batch if budget is None else min(batch, budget - it)))
-                if j == r:
-                    break
                 pick = (picks[r:j] * size).astype(np.intp)
                 mask = lo[r:j] | (hi[r:j] & hots[pick]) if use_alt else lo[r:j]
                 child = codes[pick] ^ mask
@@ -873,23 +857,20 @@ def run(algorithm: str,
                 break
         elif wait:
             wait -= 1
+        if r == k:
+            picks, lo, hi = _decode(rng, n, width)
+            r, k = 0, len(picks)
         it += 1
         members = archive.members
-        if r < k:  # a decoded row
-            parent = members[int(picks[r] * len(members))]
-            mask = lo[r]
-            if use_alt and hi[r] != mask:  # the focused branch
-                mask |= hi[r] & parent.hot()
-            r += 1
-            cand = parent if not mask else ev._cache.get(parent.code ^ mask)
-            if cand is None:  # a miss; at n <= 16 the mask is an np.int64, not a code
-                mask = int(mask)
-                cand = ev.evaluate(None, parent, threshold, _set_bits(mask), parent.code ^ mask)
-        else:  # the row across a block's end, and every row at n > 62
-            fresh = n <= 62
-            parent = members[int(rng.uniform() * len(members))]
-            flips = _flip_positions(rng, n, parent.focused_pvec if use_alt else None)
-            cand = ev.evaluate(None, parent, threshold, flips) if flips else parent
+        parent = members[int(picks[r] * len(members))]
+        mask = lo[r]
+        if use_alt and hi[r] != mask:  # the focused branch
+            mask |= hi[r] & parent.hot()
+        r += 1
+        cand = parent if not mask else ev._cache.get(parent.code ^ mask)
+        if cand is None:  # a miss; at n <= 16 the mask is an np.int64, not a code
+            mask = int(mask)
+            cand = ev.evaluate(None, parent, threshold, _set_bits(mask), parent.code ^ mask)
 
     return RunTrace(
         algorithm=algorithm,

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import evocover as ec
-from evocover.engine import _flip_positions, _focused_pvec
 from evocover.lp import InstanceTooLargeError
 from evocover.maxflow import MaxFlow
 
@@ -186,11 +185,31 @@ def is_cover(g, x):
     return bool((sel[tails] | sel[heads]).all())
 
 
+def focused_pvec(g, bits):
+    """Flip probabilities of the focused mutation branch on the 0/1 genotype
+    ``bits``: 1/n, and 1/2 at both ends of every edge it leaves uncovered."""
+    pvec = [1.0 / g.n] * g.n
+    for u, v in g.edges:
+        if not (bits[u] or bits[v]):
+            pvec[u] = pvec[v] = 0.5
+    return np.array(pvec)
+
+
+def flip_positions(rng, n, focused=None):
+    """Ascending positions to flip, each with probability 1/n; or, given
+    ``focused`` and if a fair coin picks it, with the probabilities
+    ``focused()``. Drawn as ``run`` draws a row after its parent pick: the
+    coin with ``uniform()``, then ``uniforms(n)``."""
+    if focused is not None and rng.uniform() < 0.5:
+        return np.flatnonzero(rng.uniforms(n) < focused()).tolist()
+    return np.flatnonzero(rng.uniforms(n) < 1.0 / n).tolist()
+
+
 def standard_mutation(x, rng):
     """Flip each bit independently with probability 1/n, drawn as ``run``
     draws a plain mutation."""
     bits = ec.as_genotype(x, len(x)).copy()
-    bits[_flip_positions(rng, bits.size)] ^= 1
+    bits[flip_positions(rng, bits.size)] ^= 1
     return bits
 
 
@@ -201,7 +220,7 @@ def alternative_mutation(g, x, rng):
     Selected vertices have no uncovered edges, so they always fall in the
     1/n class."""
     bits = ec.as_genotype(x, g.n).copy()
-    bits[_flip_positions(rng, g.n, lambda: _focused_pvec(g, bits))] ^= 1
+    bits[flip_positions(rng, g.n, lambda: focused_pvec(g, bits))] ^= 1
     return bits
 
 

@@ -5,9 +5,9 @@ child from scratch (cost, ones and ``lp_value2``) and inserts it with the
 plain list rules of ``conftest``: no memo, threshold, bound, stored flow,
 delta evaluation, skipped insert or batch. Only the exact values are kept,
 one record per genotype, so a genotype proposed again is the same object,
-as it is in the engine's memo. The random stream is drawn with the same
-``uniform``/``below``/``uniforms`` calls in the same order as ``engine.run``
-draws them; ``rows`` is never called.
+as it is in the engine's memo. The random stream is drawn one row per
+iteration, with ``uniform`` for the pick and the coin and ``uniforms`` for
+the flip draws, the values ``engine.run`` decodes; ``rows`` is never called.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 
 import evocover as ec
-from conftest import bits_of, code_of, dpbea_reference_insert, front_reference_insert
+from conftest import (bits_of, code_of, dpbea_reference_insert, focused_pvec,
+                      front_reference_insert)
 
 
 def reference_run(algorithm, g, seed, termination, *, check_bounds=False,
@@ -50,13 +51,6 @@ def reference_run(algorithm, g, seed, termination, *, check_bounds=False,
             max_group = max(max_group, *map(len, groups.values()))
             return accepted
         return front_reference_insert(archive.members, cand, g.n if algorithm == "demo" else None)
-
-    def focused(parent):  # 1/n, and 1/2 at both ends of each uncovered edge
-        pvec, sel = [1.0 / n] * n, bits_of(parent.code, n)
-        for u, v in g.edges:
-            if not (sel[u] or sel[v]):
-                pvec[u] = pvec[v] = 0.5
-        return np.array(pvec)
 
     opt, ratio, budget = termination.opt, termination.target_ratio, termination.budget
     cap = None
@@ -99,10 +93,9 @@ def reference_run(algorithm, g, seed, termination, *, check_bounds=False,
         it += 1
         parent = archive.members[int(rng.uniform() * len(archive.members))]
         if algorithm in ("gsemo-alt", "dpbea") and rng.uniform() < 0.5:
-            flips = rng.uniforms(n) < focused(parent)
+            flips = rng.uniforms(n) < focused_pvec(g, bits_of(parent.code, n))
         else:
-            flips = np.zeros(n, dtype=bool)
-            flips[rng.below(n, 1.0 / n)] = True
+            flips = rng.uniforms(n) < 1.0 / n
         bits = bits_of(parent.code, n) ^ flips
 
     return ec.RunTrace(

@@ -115,11 +115,14 @@ def test_engine_matches_the_reference_loop_on_dpbea_collapses():
 
 
 @pytest.mark.parametrize("n, p, seed, budget", [(24, 0.25, 2, 1000), (62, 0.1, 1, 300),
-                                                (63, 0.1, 1, 300)])
+                                                (63, 0.1, 1, 300), (100, 0.05, 1, 300),
+                                                (150, 0.03, 1, 300)])
 def test_engine_matches_the_reference_loop_around_the_decoded_rows(n, p, seed, budget):
-    # up to n = 62 every row inside a block is read decoded, and only the
-    # row across its end is drawn scalar; from n = 63 every row is. n = 24
-    # is the benchmark's target-n24 graph; each run crosses 4 or more blocks
+    # every row is decoded, the row across a block's end with the next
+    # block's whole rows. The flip masks are int64 up to n = 62, and Python
+    # ints from n = 63: one 64-bit word of packbits at n = 63, two at n =
+    # 100 and three at n = 150. n = 24 and n = 100 are the benchmark's
+    # target-n24 and budget-n100 graphs; each run crosses 4 or more blocks
     g = ec.gnp(n, p, w_max=16, seed=seed)
     terms = (terminations(g, budget) if n <= 32 else
              (ec.Termination(budget=budget),
